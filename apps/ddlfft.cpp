@@ -45,7 +45,6 @@
 #include "ddl/codelets/codelets.hpp"
 #include "ddl/fft/executor.hpp"
 #include "ddl/fft/fft.hpp"
-#include "ddl/huge/huge.hpp"
 #include "ddl/obs/export.hpp"
 #include "ddl/obs/obs.hpp"
 #include "ddl/plan/grammar.hpp"
@@ -54,7 +53,6 @@
 #include "ddl/sim/trace.hpp"
 #include "ddl/stream/stream.hpp"
 #include "ddl/svc/service.hpp"
-#include "ddl/svc/sharded.hpp"
 #include "ddl/svc/wire.hpp"
 #include "ddl/verify/cachepred.hpp"
 #include "ddl/verify/plan_verify.hpp"
@@ -73,14 +71,11 @@ int usage() {
       "  plan      --transform fft|wht --n SIZE [--strategy ddl_dp] [--max-leaf 32]\n"
       "            [--oracle]  plan for a simulated 512KB direct-mapped cache\n"
       "            [--dot]     print the tree as a Graphviz digraph\n"
-      "            [--huge]    force an fs(n1,n2) four-step root (fft only;\n"
-      "            out-of-LLC sizes — docs/HUGE.md)\n"
       "  run       (--tree GRAMMAR | --transform fft|wht --n SIZE [--strategy S])\n"
       "            [--reps 3] [--wht]\n"
       "  profile   (SIZE | --n SIZE | --tree GRAMMAR) [--transform fft|wht]\n"
       "            [--strategy ddl_dp] [--reps 5] [--threads N]\n"
       "            [--trace ddlfft_trace.json] [--bench-json FILE] [--calibrate]\n"
-      "            [--huge]  run through the staged ddl::huge executor (fs tree)\n"
       "            traced run: per-stage summary + chrome://tracing JSON;\n"
       "            --calibrate feeds stage timings into --costdb\n"
       "  simulate  (--tree GRAMMAR | --n SIZE) [--cache 512K] [--line 64]\n"
@@ -96,15 +91,13 @@ int usage() {
       "  explain-plan  (--tree GRAMMAR | --transform fft|wht --n SIZE [--strategy S])\n"
       "            [--wht] [--dot]\n"
       "  serve     (--inproc | --socket PATH) [--n 1024] [--producers 4]\n"
-      "            [--requests 64] [--threads N] [--plan] [--shards N]\n"
+      "            [--requests 64] [--threads N] [--plan]\n"
       "            transform-service\n"
       "            smoke (DDL_SVC_* env knobs): --inproc drives concurrent\n"
       "            producers through the embedded ddl::svc API; --socket\n"
       "            serves the binary wire protocol on a UNIX socket at PATH\n"
       "            and drives the same workload through thin wire clients,\n"
-      "            one tenant per producer (docs/SERVICE.md); --shards N\n"
-      "            (--inproc only) fans tenants over N tenant-hash routed\n"
-      "            service instances sharing one wisdom/cost store\n"
+      "            one tenant per producer (docs/SERVICE.md)\n"
       "  stream    [--block 512] [--fir 257] [--blocks 200] [--stft-fft 4*block]\n"
       "            [--fft N] [--plan] [--threads N]   streaming smoke: STFT\n"
       "            (hop = block) chained into a partitioned overlap-save\n"
@@ -201,25 +194,7 @@ int cmd_plan(const cli::Args& args) {
     return 2;
   }
   const auto strategy = parse_strategy(args.get_or("strategy", "ddl_dp"));
-  plan::TreePtr tree;
-  if (args.has("huge")) {
-    if (transform != "fft") {
-      std::cerr << "plan: --huge is FFT-only (four-step is an FFT factorization)\n";
-      return 2;
-    }
-    if (n < plan::kMinFourStepPoints) {
-      std::cerr << "plan: --huge needs --n >= " << plan::kMinFourStepPoints << "\n";
-      return 2;
-    }
-    fft::PlannerOptions opts;
-    opts.cost_db = &stores.cost_db;
-    opts.wisdom = &stores.wisdom;
-    opts.max_leaf = args.size_or("max-leaf", opts.max_leaf);
-    fft::FftPlanner planner(opts);
-    tree = planner.plan_huge(n);
-  } else {
-    tree = plan_tree(args, stores, transform, n, strategy);
-  }
+  const plan::TreePtr tree = plan_tree(args, stores, transform, n, strategy);
   std::cout << transform << " " << fmt_pow2(n) << " " << fft::strategy_name(strategy) << ":\n"
             << "  tree:      " << plan::to_string(*tree) << "\n"
             << "  leaves:    " << plan::leaf_count(*tree) << "\n"
@@ -287,28 +262,9 @@ int cmd_profile(const cli::Args& args) {
       std::cerr << "profile: need a SIZE operand, --n SIZE, or --tree GRAMMAR\n";
       return 2;
     }
-    if (args.has("huge") && !is_wht) {
-      if (n < plan::kMinFourStepPoints) {
-        std::cerr << "profile: --huge needs a size >= " << plan::kMinFourStepPoints << "\n";
-        return 2;
-      }
-      fft::PlannerOptions opts;
-      opts.cost_db = &stores.cost_db;
-      opts.wisdom = &stores.wisdom;
-      fft::FftPlanner planner(opts);
-      strategy_name = "fs_huge";
-      tree = planner.plan_huge(n);
-    } else {
-      const auto strategy = parse_strategy(args.get_or("strategy", "ddl_dp"));
-      strategy_name = fft::strategy_name(strategy);
-      tree = plan_tree(args, stores, is_wht ? "wht" : "fft", n, strategy);
-    }
-  }
-  const bool huge_exec = args.has("huge");
-  if (huge_exec && (is_wht || !tree->fourstep)) {
-    std::cerr << "profile: --huge needs an fft fs(n1,n2) tree (plan --huge, or an fs(...) "
-                 "--tree)\n";
-    return 2;
+    const auto strategy = parse_strategy(args.get_or("strategy", "ddl_dp"));
+    strategy_name = fft::strategy_name(strategy);
+    tree = plan_tree(args, stores, is_wht ? "wht" : "fft", n, strategy);
   }
   if (args.has("threads")) {
     parallel::set_threads(static_cast<int>(args.int_or("threads", 1)));
@@ -334,20 +290,6 @@ int cmd_profile(const cli::Args& args) {
     obs::reset();
     const std::uint64_t t0 = obs::now_ns();
     for (int r = 0; r < reps; ++r) exec.transform(buf.span());
-    wall = static_cast<double>(obs::now_ns() - t0) * 1e-9;
-    obs::enable(false);
-  } else if (huge_exec) {
-    huge::HugeExecutor exec(*tree);
-    AlignedBuffer<cplx> buf(n);
-    for (index_t i = 0; i < n; ++i) {
-      buf.data()[i] = cplx(static_cast<double>(i % 5) - 2.0, static_cast<double>(i % 3) - 1.0);
-    }
-    exec.forward(buf.span());
-    obs::enable(true);
-    exec.forward(buf.span());
-    obs::reset();
-    const std::uint64_t t0 = obs::now_ns();
-    for (int r = 0; r < reps; ++r) exec.forward(buf.span());
     wall = static_cast<double>(obs::now_ns() - t0) * 1e-9;
     obs::enable(false);
   } else {
@@ -757,14 +699,6 @@ int cmd_serve(const cli::Args& args) {
       return 2;
     }
   }
-  const int shards = static_cast<int>(args.int_or("shards", 1));
-  if (shards != 1 && !inproc) {
-    // Sharding is an in-process fan-out; the wire server binds one
-    // TransformService per socket, so shard behind a socket by running one
-    // `serve --socket` per shard instead.
-    std::cerr << "serve: --shards requires --inproc\n";
-    return 2;
-  }
   Stores stores(args);
   const index_t n = args.size_or("n", 1024);
   const int producers = static_cast<int>(args.int_or("producers", 4));
@@ -777,20 +711,11 @@ int cmd_serve(const cli::Args& args) {
   cfg.plan_dp = args.has("plan");
   cfg.cost_db = &stores.cost_db;
   cfg.wisdom = &stores.wisdom;
-  std::unique_ptr<svc::TransformService> single;
-  std::unique_ptr<svc::ShardedService> sharded;
-  if (shards > 1) {
-    svc::ShardedConfig scfg;
-    scfg.shards = shards;
-    scfg.shard = cfg;
-    sharded = std::make_unique<svc::ShardedService>(scfg);
-  } else {
-    single = std::make_unique<svc::TransformService>(cfg);
-  }
+  svc::TransformService service(cfg);
   std::unique_ptr<svc::wire::SocketServer> server;
   if (socket_mode) {
     try {
-      server = std::make_unique<svc::wire::SocketServer>(*single, socket_path);
+      server = std::make_unique<svc::wire::SocketServer>(service, socket_path);
     } catch (const std::exception& e) {
       std::cerr << "serve: " << e.what() << "\n";
       return 1;
@@ -820,10 +745,7 @@ int cmd_serve(const cli::Args& args) {
         }
         const auto run_fft = [&](std::span<cplx> data) {
           if (!socket_mode) {
-            return (sharded ? sharded->submit_fft(data, svc::Direction::forward, 0, tenant)
-                            : single->submit_fft(data, svc::Direction::forward, 0, tenant))
-                .get()
-                .status;
+            return service.submit_fft(data, svc::Direction::forward, 0, tenant).get().status;
           }
           svc::wire::RequestFrame rf;
           rf.tenant = tenant;
@@ -833,10 +755,7 @@ int cmd_serve(const cli::Args& args) {
         };
         const auto run_wht = [&](std::span<real_t> data) {
           if (!socket_mode) {
-            return (sharded ? sharded->submit_wht(data, svc::Direction::forward, 0, tenant)
-                            : single->submit_wht(data, svc::Direction::forward, 0, tenant))
-                .get()
-                .status;
+            return service.submit_wht(data, svc::Direction::forward, 0, tenant).get().status;
           }
           svc::wire::RequestFrame rf;
           rf.tenant = tenant;
@@ -878,16 +797,11 @@ int cmd_serve(const cli::Args& args) {
     for (auto& w : workers) w.join();
   }
   if (server) server->stop();
-  if (sharded) {
-    sharded->drain();
-  } else {
-    single->drain();
-  }
+  service.drain();
 
-  std::string mode_label =
+  const std::string mode_label =
       socket_mode ? "serve --socket n=" + fmt_pow2(n) : "serve --inproc n=" + fmt_pow2(n);
-  if (sharded) mode_label += " shards=" + std::to_string(shards);
-  const svc::TransformService::Stats stats = sharded ? sharded->stats() : single->stats();
+  const svc::TransformService::Stats stats = service.stats();
   TableWriter table({"counter", "value"});
   table.add_row({"ok", std::to_string(ok.load())});
   table.add_row({"shed", std::to_string(shed.load())});
@@ -902,13 +816,6 @@ int cmd_serve(const cli::Args& args) {
   table.add_row({"fallback_plans", std::to_string(stats.fallback_plans)});
   table.add_row({"model_fallbacks", std::to_string(stats.model_fallbacks)});
   table.add_row({"queue_peak", std::to_string(stats.queue_peak)});
-  if (sharded) {
-    for (int s = 0; s < sharded->shards(); ++s) {
-      const svc::TransformService::Stats ss = sharded->shard(s).stats();
-      table.add_row({"shard[" + std::to_string(s) + "] completed/submitted",
-                     std::to_string(ss.completed) + "/" + std::to_string(ss.submitted)});
-    }
-  }
   if (server) {
     table.add_row({"wire_connections", std::to_string(server->connections_accepted())});
     table.add_row({"wire_rejected_frames", std::to_string(server->frames_rejected())});

@@ -17,10 +17,8 @@
 //     the paper's 2-3x wall-clock wins.
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include "bench_common.hpp"
@@ -33,7 +31,6 @@
 #include "ddl/fft/executor.hpp"
 #include "ddl/fft/fft.hpp"
 #include "ddl/fft/stockham.hpp"
-#include "ddl/huge/huge.hpp"
 #include "ddl/obs/export.hpp"
 #include "ddl/obs/obs.hpp"
 #include "ddl/plan/obs_ingest.hpp"
@@ -105,26 +102,10 @@ constexpr Platform kPlatforms[] = {
     {"usparc3-like", 1u << 20, 64, 2},      // 1 MB 2-way, 64 B
 };
 
-/// MemAvailable from /proc/meminfo in bytes, or 0 when unreadable (the
-/// --huge sizes are skipped rather than swapped or OOM-killed).
-std::size_t mem_available_bytes() {
-  std::ifstream is("/proc/meminfo");
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.rfind("MemAvailable:", 0) != 0) continue;
-    std::istringstream fields(line.substr(13));
-    std::size_t kib = 0;
-    fields >> kib;
-    return kib * 1024;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const cli::Args args = cli::Args::parse(argc, argv);
-  const bool run_huge = args.has("huge");
   if (args.has("threads")) {
     parallel::set_threads(static_cast<int>(args.int_or("threads", 1)));
   }
@@ -227,65 +208,6 @@ int main(int argc, char** argv) {
   table.print(std::cout, "searched plans (normalized MFLOPS; higher is better)");
   std::cout << "\nplanner vs rightmost: won " << planner_wins << "/" << sizes_total
             << " sizes (acceptance target: all, single-threaded)\n";
-
-  if (run_huge) {
-    // Out-of-LLC sizes (--huge): the staged four-step executor against the
-    // best tree the regular search can field when the fs marker is off.
-    // RAM-checked — each size needs the caller array plus the inter-stage
-    // arena resident, with headroom for the reference measurements.
-    std::cout << "\nview 1b: out-of-LLC transforms via ddl::huge (--huge), "
-              << benchcommon::threads_note() << "\n\n";
-    fft::PlannerOptions flat_opts = benchcommon::fft_opts(stores);
-    flat_opts.enable_fourstep = false;  // the non-huge contender
-    fft::FftPlanner flat_planner(std::move(flat_opts));
-    TableWriter huge_table(
-        {"n", "thr", "best_nonhuge", "which", "fs_huge", "fs/best", "win", "fs_tree"});
-    for (int k = 24; k <= 25; ++k) {
-      const index_t n = index_t{1} << k;
-      const std::size_t need = 4 * static_cast<std::size_t>(n) * sizeof(cplx);
-      const std::size_t avail = mem_available_bytes();
-      if (avail < need) {
-        std::cout << "skipping n=2^" << k << ": needs ~" << (need >> 20)
-                  << " MiB free, MemAvailable reports " << (avail >> 20) << " MiB\n";
-        continue;
-      }
-
-      const auto rm_tree = flat_planner.plan(n, fft::Strategy::rightmost);
-      const auto dp_tree = flat_planner.plan(n, fft::Strategy::ddl_dp);
-      const double t_rm = measure_seconds(*rm_tree);
-      const double t_dp = plan::equal(*dp_tree, *rm_tree) ? t_rm : measure_seconds(*dp_tree);
-      const bool dp_best = t_dp <= t_rm;
-      const plan::Node& best_tree = dp_best ? *dp_tree : *rm_tree;
-      const double t_best = dp_best ? t_dp : t_rm;
-
-      const auto fs_tree = planner.plan_huge(n);
-      huge::HugeExecutor hexec(*fs_tree);
-      AlignedBuffer<cplx> buf(n);
-      hexec.forward(buf.span());  // warm: faults the arena, fills twiddles
-      const double t_fs = std::min(
-          time_adaptive([&] { hexec.forward(buf.span()); }, {.min_total_seconds = 0.05}),
-          time_adaptive([&] { hexec.forward(buf.span()); }, {.min_total_seconds = 0.05}));
-
-      const double best = benchutil::fft_mflops(n, t_best);
-      const double fs = benchutil::fft_mflops(n, t_fs);
-      const double ratio = fs / best;
-      const bool win = ratio >= 1.15;  // the huge-path acceptance bar
-
-      benchutil::BenchRecord best_rec =
-          make_record(best_tree, "best_nonhuge", t_best, false);
-      bench_json.add(std::move(best_rec));
-      benchutil::BenchRecord fs_rec = make_record(*fs_tree, "fs_huge", t_fs, false);
-      fs_rec.extra.push_back({"huge_speedup", ratio});
-      fs_rec.extra.push_back({"arena_mapped", hexec.arena().mapped() ? 1.0 : 0.0});
-      bench_json.add(std::move(fs_rec));
-
-      huge_table.add_row({fmt_pow2(n), std::to_string(benchcommon::threads_used()),
-                          fmt_double(best, 0), dp_best ? "ddl_dp" : "rightmost",
-                          fmt_double(fs, 0), fmt_double(ratio, 2), win ? "yes" : "NO",
-                          plan::to_string(*fs_tree)});
-    }
-    huge_table.print(std::cout, "ddl::huge staged four-step vs best in-cache-era tree");
-  }
 
   const auto bench_path = benchutil::BenchJsonWriter::resolve_path("BENCH_fft.json");
   if (bench_json.write(bench_path)) {

@@ -102,19 +102,6 @@ struct PlannerOptions {
   /// "reshape the data", competing on measured cost like every other option.
   bool enable_stockham = true;
 
-  /// Mark winning fused-ddl splits at unit stride as fs(...) four-step
-  /// roots once the node reaches fourstep_min_points. The fs pipeline is
-  /// per-element identical to ctddlf — its cost terms are the same DP
-  /// terms — so this is a documented tie-break, not a discount: out of LLC
-  /// the fs marker routes execution through ddl::huge's NUMA/huge-page
-  /// arena machinery, which the wall-clock model cannot see.
-  bool enable_fourstep = true;
-
-  /// Size at which fs marking engages (default 2^23 complex points =
-  /// 128 MiB working set: past any current LLC). plan_huge() ignores this
-  /// threshold — an explicit huge request is the caller's own judgment.
-  index_t fourstep_min_points = index_t{1} << 23;
-
   /// Optional cost oracle: when set, every primitive cost comes from this
   /// function instead of a wall-clock measurement (still memoized through
   /// the CostDb). Lets the same DP search plan for *modelled* hardware —
@@ -151,16 +138,6 @@ class FftPlanner {
 
   /// Choose a factorization tree for an n-point DFT under `strategy`.
   plan::TreePtr plan(index_t n, Strategy strategy);
-
-  /// Plan an out-of-LLC transform: an fs(n1, n2) four-step root whose
-  /// factor pair minimizes the DP cost terms of the fused-ddl pipeline
-  /// (gather + unit-stride columns + fused twiddle-scatter + rows + final
-  /// permutation) over all aspect-legal splits, with both children planned
-  /// by the regular (size, stride) DP. Sizes where measurement is too slow
-  /// are costed through the cachepred cold-start model like any other DP
-  /// state. Requires n >= plan::kMinFourStepPoints with at least one
-  /// aspect-legal factorization; remembered under wisdom strategy "huge".
-  plan::TreePtr plan_huge(index_t n);
 
   /// DP-predicted execution time of the tree plan(n, strategy) would return.
   double planned_cost(index_t n, Strategy strategy);

@@ -87,13 +87,6 @@ enum class Stage : std::uint16_t {
                   ///< streaming layer (a = fft size, b = hop)
   svc_tenant_batch, ///< one tenant's share of a coalesced dispatch
                     ///< (a = tenant id, b = requests it placed in the batch)
-  huge_transpose, ///< out-of-LLC inter-stage transpose of a four-step node
-                  ///< (a = n1, b = n2; gather into the NUMA arena or the
-                  ///< closing stride permutation)
-  huge_cols,      ///< four-step column-FFT stage over the packed arena
-                  ///< (a = left child n, b = column count n2)
-  huge_rows,      ///< four-step row-FFT stage back in caller data
-                  ///< (a = right child n, b = row count n1)
   count_          ///< sentinel (append stages above; numbering is
                   ///< trace-format-stable)
 };
@@ -124,8 +117,6 @@ enum class Counter : std::uint16_t {
   svc_quota_rejected,    ///< shed at submit: tenant over its admission quota
   svc_critical_batches,  ///< priority-lane dispatches (deadline-critical
                          ///< buckets cut ahead of the fair rotation)
-  svc_shard_routed,      ///< requests routed to a shard by the sharded
-                         ///< front-end's tenant hash
   count_                 ///< sentinel
 };
 

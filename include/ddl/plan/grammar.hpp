@@ -9,16 +9,12 @@
 ///
 ///   tree   := leaf | split
 ///   leaf   := integer | "st" "(" integer ")"  (e.g. "16", "st(1024)")
-///   split  := ("ct" | "ctddl" | "ctddlf" | "fs") "(" tree "," tree ")"
+///   split  := ("ct" | "ctddl" | "ctddlf") "(" tree "," tree ")"
 ///
 /// "ct(a,b)" is a static-layout Cooley–Tukey split; "ctddl(a,b)" is a split
 /// whose left stage is executed through a dynamic data layout
 /// (reorganize -> unit-stride -> restore); "ctddlf(a,b)" is a ddl split
 /// whose twiddle pass is fused into the restoring scatter (one sweep).
-/// "fs(a,b)" is a four-step (Bailey) split: the same per-element pipeline
-/// as ctddlf, marked for out-of-LLC execution through ddl::huge (NUMA
-/// arenas, huge-page scratch); its geometry rules (factor floor, aspect
-/// bound) are enforced at parse time and by Rule::fs_geometry.
 /// "st(n)" is a Stockham autosort-FFT leaf (power-of-two n; FFT plans
 /// only). Whitespace is ignored. Examples from the paper:
 /// "ct(16,ct(16,4))", "ctddl(1024,ctddl(32,32))".

@@ -3,7 +3,7 @@
 /// \brief Wisdom/CostDb snapshot shipping: one file carrying both planner
 ///        stores, for moving tuning state between hosts and processes.
 ///
-/// A sharded service (and a fleet of them) wants planner state to travel:
+/// A fleet of services wants planner state to travel:
 /// calibrate once on a canary, `ddlfft wisdom export` the stores, ship the
 /// file, `ddlfft wisdom merge` it everywhere else. The snapshot format is
 /// deliberately boring — a versioned header plus the two stores' own
@@ -18,7 +18,7 @@
 /// Properties:
 ///  * **Byte-deterministic**: both stores iterate in map key order and
 ///    print doubles at round-trip precision, so export → merge → export
-///    reproduces the file byte-for-byte (pinned by tests/test_huge.cpp).
+///    reproduces the file byte-for-byte (pinned by tests/test_plan.cpp).
 ///  * **Fail-closed**: merge_snapshot validates the entire file — header,
 ///    section counts, and every line under the same rules the stores'
 ///    own load() paths enforce (finite non-negative costs, parseable

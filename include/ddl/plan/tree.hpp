@@ -33,11 +33,6 @@ struct Node {
   bool ddl = false;    ///< split only: left stage runs via data reorganization
   bool fused = false;  ///< ddl split only: twiddle applied during the scatter
                        ///< (one sweep instead of twiddle-cols + scatter)
-  bool fourstep = false;  ///< split only: four-step (Bailey) out-of-LLC root.
-                          ///< Implies ddl+fused — the per-element math is the
-                          ///< ctddlf pipeline — but marks the node for the
-                          ///< ddl::huge execution machinery (NUMA arenas,
-                          ///< huge-page scratch). Rendered as "fs(n1,n2)".
   bool stockham = false;  ///< leaf only: computed by the autosort (Stockham)
                           ///< FFT instead of a codelet; power-of-two sizes
   TreePtr left;        ///< left factor (size n1), computed at stride s*n2
@@ -45,16 +40,6 @@ struct Node {
 
   [[nodiscard]] bool is_leaf() const noexcept { return left == nullptr; }
 };
-
-/// Smallest transform a four-step node may govern. Below this the fs
-/// machinery is pure overhead (verified as Rule::fs_geometry).
-inline constexpr index_t kMinFourStepPoints = 16;
-
-/// Widest legal factor imbalance of a four-step split: max(n1,n2) must not
-/// exceed kMaxFourStepAspect * min(n1,n2). The tiled transpose the fs stages
-/// pivot on degrades sharply on skewed matrices (one dimension shorter than
-/// a tile row), so the planner and verifier both reject them.
-inline constexpr index_t kMaxFourStepAspect = 64;
 
 /// Make a leaf of size n (n >= 1).
 TreePtr make_leaf(index_t n);
@@ -68,13 +53,6 @@ TreePtr make_stockham_leaf(index_t n);
 /// right factor, and splits of two size-1 children. `fused` marks a ddl
 /// split whose twiddle pass rides the reorg scatter (requires ddl).
 TreePtr make_split(TreePtr left, TreePtr right, bool ddl = false, bool fused = false);
-
-/// Make a four-step (Bailey) split: a ddl+fused split marked for out-of-LLC
-/// execution through ddl::huge. Rejects (std::invalid_argument) factors < 2,
-/// nodes below kMinFourStepPoints, and aspect ratios beyond
-/// kMaxFourStepAspect — the same geometry the fs_geometry verify rule and
-/// the "fs(...)" grammar enforce.
-TreePtr make_fourstep_split(TreePtr left, TreePtr right);
 
 /// Deep copy.
 TreePtr clone(const Node& node);

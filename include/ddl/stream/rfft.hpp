@@ -5,8 +5,7 @@
 ///
 /// A length-n real signal is packed into n/2 complex points (z[j] = x[2j] +
 /// i*x[2j+1]), transformed with one half-size complex FFT, and untangled
-/// into the n/2+1 non-redundant spectrum bins. Compared to fft::RealFft
-/// (the one-shot reference in ddl/fft/realfft.hpp), this class is built for
+/// into the n/2+1 non-redundant spectrum bins. The class is built for
 /// long-lived streaming sessions:
 ///
 ///  * the half-size executor comes from the process-wide fft::PlanCache, so

@@ -34,10 +34,6 @@ enum class Rule {
                       ///< block + partition - 1, COLA denominator nonzero)
   svc_tenant_policy,  ///< per-tenant weight/quota within limits, ids unique
   svc_lane_rules,     ///< priority-lane reserve leaves room for normal traffic
-  fs_geometry,        ///< four-step node: ddl+fused flags present, factor
-                      ///< floor met, node size and aspect ratio within the
-                      ///< kMinFourStepPoints / kMaxFourStepAspect bounds
-  svc_shard_rules,    ///< sharded service: shard count within [1, limit]
 };
 
 /// Stable short name for a rule ("size_product", ...), for messages and CLI.

@@ -141,18 +141,6 @@ struct ServiceLimits {
 /// Report, nothing throws.
 Report verify_service_config(const ServiceLimits& limits);
 
-/// Most per-socket service instances a sharded front-end may spread load
-/// over. Far above any real socket count; bounds batcher-thread growth
-/// against misconfiguration the same way kMaxThreads bounds the pool.
-inline constexpr long long kMaxServiceShards = 64;
-
-/// Validate a sharded-service configuration: the shard count must lie in
-/// [1, kMaxServiceShards] (svc_shard_rules), and the per-shard limits must
-/// pass verify_service_config — every shard runs the same config, so one
-/// validation covers all instances. Same collect-don't-throw contract as
-/// verify_plan.
-Report verify_shard_config(long long shards, const ServiceLimits& limits);
-
 // ---------------------------------------------------------------------------
 // Streaming configuration validation (ddl::stream)
 // ---------------------------------------------------------------------------

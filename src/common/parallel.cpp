@@ -10,7 +10,6 @@
 
 #include "ddl/common/check.hpp"
 #include "ddl/common/env.hpp"
-#include "ddl/common/numa.hpp"
 #include "ddl/obs/obs.hpp"
 
 namespace ddl::parallel {
@@ -125,12 +124,6 @@ class ThreadPool {
   }
 
   void worker_main(int slot) {
-    // Opt-in lane pinning (DDL_PIN_THREADS): a stable CPU per lane keeps a
-    // worker's first-touch scratch pages local across calls. Best-effort —
-    // failure just leaves the lane floating.
-    if (thread_pinning_enabled()) {
-      (void)pin_current_thread(preferred_cpu_for_slot(slot));
-    }
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lk(mutex_);
     for (;;) {

@@ -439,16 +439,6 @@ const FftPlanner::Best& FftPlanner::best(index_t n, index_t stride, bool allow_d
         winner.cost = cost;
         winner.tree =
             plan::make_split(plan::clone(*left.tree), plan::clone(*right.tree), true, fused);
-        // Four-step marking: at unit stride past the out-of-LLC threshold, a
-        // winning fused split is the six-step pipeline already — mark it fs
-        // so execution routes through ddl::huge. Same cost, same per-element
-        // math; the flag is set directly because eligibility mirrors the
-        // make_fourstep_split geometry checks.
-        if (fused && opts_.enable_fourstep && stride == 1 &&
-            n >= std::max(opts_.fourstep_min_points, plan::kMinFourStepPoints) && n1 >= 2 &&
-            n2 >= 2 && std::max(n1, n2) <= plan::kMaxFourStepAspect * std::min(n1, n2)) {
-          winner.tree->fourstep = true;
-        }
       }
     }
   }
@@ -491,43 +481,6 @@ plan::TreePtr FftPlanner::plan(index_t n, Strategy strategy) {
   if (opts_.wisdom != nullptr) {
     opts_.wisdom->remember("fft", strat, n,
                            {plan::to_string(*tree), planned_cost(n, strategy)});
-  }
-  return tree;
-}
-
-plan::TreePtr FftPlanner::plan_huge(index_t n) {
-  DDL_REQUIRE(n >= plan::kMinFourStepPoints, "huge plan needs n >= kMinFourStepPoints");
-  if (opts_.wisdom != nullptr) {
-    if (auto hit = opts_.wisdom->recall("fft", "huge", n)) {
-      return plan::parse_tree(hit->tree);
-    }
-  }
-
-  // Pick the factor pair minimizing the same DP terms best() charges a
-  // fused-ddl split, restricted to fs-legal geometries. Children come from
-  // the regular DP (ddl allowed below the root as usual).
-  double best_cost = std::numeric_limits<double>::infinity();
-  index_t best_n1 = 0;
-  index_t best_n2 = 0;
-  for (const auto& [n1, n2] : candidate_splits(n)) {
-    if (n1 < 2 || n2 < 2) continue;
-    if (std::max(n1, n2) > plan::kMaxFourStepAspect * std::min(n1, n2)) continue;
-    const double cost = reorg_gather_cost(n1, n2, 1) +
-                        static_cast<double>(n2) * best(n1, 1, true).cost / fanout_workers(n, n2) +
-                        fused_cost(n1, n2, 1) +
-                        static_cast<double>(n1) * best(n2, 1, true).cost / fanout_workers(n, n1) +
-                        perm_cost(n, n2, 1);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_n1 = n1;
-      best_n2 = n2;
-    }
-  }
-  DDL_REQUIRE(best_n1 != 0, "no aspect-legal four-step factorization exists for this size");
-  plan::TreePtr tree = plan::make_fourstep_split(plan::clone(*best(best_n1, 1, true).tree),
-                                                 plan::clone(*best(best_n2, 1, true).tree));
-  if (opts_.wisdom != nullptr) {
-    opts_.wisdom->remember("fft", "huge", n, {plan::to_string(*tree), best_cost});
   }
   return tree;
 }

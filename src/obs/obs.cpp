@@ -129,9 +129,6 @@ const char* stage_name(Stage stage) noexcept {
     case Stage::stream_fdl: return "stream_fdl";
     case Stage::stream_ola: return "stream_ola";
     case Stage::svc_tenant_batch: return "svc_tenant_batch";
-    case Stage::huge_transpose: return "huge_transpose";
-    case Stage::huge_cols: return "huge_cols";
-    case Stage::huge_rows: return "huge_rows";
     case Stage::count_: break;
   }
   return "unknown";
@@ -166,7 +163,6 @@ const char* counter_name(Counter counter) noexcept {
     case Counter::calib_unmapped_events: return "calib_unmapped_events";
     case Counter::svc_quota_rejected: return "svc_quota_rejected";
     case Counter::svc_critical_batches: return "svc_critical_batches";
-    case Counter::svc_shard_routed: return "svc_shard_routed";
     case Counter::count_: break;
   }
   return "unknown";

@@ -1,6 +1,5 @@
 #include "ddl/plan/grammar.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <stdexcept>
 #include <string>
@@ -26,7 +25,6 @@ class Parser {
     if (pos_ >= text_.size()) fail("unexpected end of input");
     if (std::isdigit(static_cast<unsigned char>(text_[pos_]))) return parse_leaf();
     if (text_[pos_] == 's') return parse_stockham();  // only "st(...)" starts with 's'
-    if (text_[pos_] == 'f') return parse_fourstep();  // only "fs(...)" starts with 'f'
     return parse_split();
   }
 
@@ -57,28 +55,6 @@ class Parser {
       fail_at(at, "Stockham leaf size must be a power of two >= 2");
     }
     return make_stockham_leaf(value);
-  }
-
-  TreePtr parse_fourstep() {
-    skip_ws();
-    const std::size_t at = pos_;
-    if (!consume("fs")) fail("expected 'fs'");
-    expect('(');
-    TreePtr left = parse_tree();
-    expect(',');
-    TreePtr right = parse_tree();
-    expect(')');
-    // Positioned rejections mirroring make_fourstep_split (Rule::fs_geometry).
-    if (left->n < 2 || right->n < 2) {
-      fail_at(at, "four-step factors must both be >= 2");
-    }
-    if (left->n * right->n < kMinFourStepPoints) {
-      fail_at(at, "four-step node below the minimum size");
-    }
-    if (std::max(left->n, right->n) > kMaxFourStepAspect * std::min(left->n, right->n)) {
-      fail_at(at, "four-step aspect ratio too skewed");
-    }
-    return make_fourstep_split(std::move(left), std::move(right));
   }
 
   TreePtr parse_split() {

@@ -45,37 +45,16 @@ TreePtr make_split(TreePtr left, TreePtr right, bool ddl, bool fused) {
   return node;
 }
 
-TreePtr make_fourstep_split(TreePtr left, TreePtr right) {
-  DDL_REQUIRE(left != nullptr && right != nullptr, "split needs two children");
-  const index_t n1 = left->n;
-  const index_t n2 = right->n;
-  // The fs geometry rules mirror Rule::fs_geometry in ddl::verify: both
-  // factors real (>= 2), the node big enough to amortize the out-of-LLC
-  // staging, and the transpose matrix not degenerately skewed.
-  DDL_REQUIRE(n1 >= 2 && n2 >= 2, "four-step factors must both be >= 2");
-  DDL_REQUIRE(n1 * n2 >= kMinFourStepPoints, "four-step node below kMinFourStepPoints");
-  DDL_REQUIRE(std::max(n1, n2) <= kMaxFourStepAspect * std::min(n1, n2),
-              "four-step aspect ratio beyond kMaxFourStepAspect");
-  TreePtr node = make_split(std::move(left), std::move(right), /*ddl=*/true, /*fused=*/true);
-  node->fourstep = true;
-  return node;
-}
-
 TreePtr clone(const Node& node) {
   if (node.is_leaf()) return node.stockham ? make_stockham_leaf(node.n) : make_leaf(node.n);
-  TreePtr out = make_split(clone(*node.left), clone(*node.right), node.ddl, node.fused);
-  // Carried as a plain flag (not re-validated through make_fourstep_split):
-  // clone() must reproduce even a corrupted tree faithfully so the verifier
-  // can diagnose it rather than the copy silently "fixing" it.
-  out->fourstep = node.fourstep;
-  return out;
+  return make_split(clone(*node.left), clone(*node.right), node.ddl, node.fused);
 }
 
 bool equal(const Node& a, const Node& b) {
   if (a.n != b.n || a.is_leaf() != b.is_leaf()) return false;
   if (a.is_leaf()) return a.stockham == b.stockham;
-  return a.ddl == b.ddl && a.fused == b.fused && a.fourstep == b.fourstep &&
-         equal(*a.left, *b.left) && equal(*a.right, *b.right);
+  return a.ddl == b.ddl && a.fused == b.fused && equal(*a.left, *b.left) &&
+         equal(*a.right, *b.right);
 }
 
 index_t leaf_count(const Node& node) {
@@ -113,8 +92,7 @@ std::string to_string(const Node& node) {
     if (node.stockham) return "st(" + std::to_string(node.n) + ")";
     return std::to_string(node.n);
   }
-  std::string out =
-      node.fourstep ? "fs(" : node.ddl ? (node.fused ? "ctddlf(" : "ctddl(") : "ct(";
+  std::string out = node.ddl ? (node.fused ? "ctddlf(" : "ctddl(") : "ct(";
   out += to_string(*node.left);
   out += ',';
   out += to_string(*node.right);
@@ -128,9 +106,7 @@ namespace {
 int dot_node(const Node& node, index_t stride, int& next_id, std::string& out) {
   const int id = next_id++;
   std::string label = std::to_string(node.n) + " @ " + std::to_string(stride);
-  if (!node.is_leaf() && node.fourstep) {
-    label += "\\nfour-step";
-  } else if (!node.is_leaf() && node.ddl) {
+  if (!node.is_leaf() && node.ddl) {
     label += node.fused ? "\\nddl fused" : "\\nddl";
   }
   if (node.is_leaf() && node.stockham) label += "\\nstockham";

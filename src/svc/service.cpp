@@ -257,12 +257,12 @@ struct TransformService::Impl {
   }
 
   PlanInfo dp_plan(Kind kind, index_t n) {
-    // A sharded front-end points every shard's planners at one shared
-    // CostDb/Wisdom pair, and those stores are not thread-safe — so DP
-    // planning (the only store access on a batcher thread) is serialized
-    // process-wide. Planning is rare (first-seen sizes, idle upgrades) and
-    // holds no dispatch lock, so the serialization is invisible in steady
-    // state.
+    // ServiceConfig::cost_db and ::wisdom are borrowed pointers, so several
+    // services in one process may share a CostDb/Wisdom pair, and those
+    // stores are not thread-safe — so DP planning (the only store access on
+    // a batcher thread) is serialized process-wide, not per instance.
+    // Planning is rare (first-seen sizes, idle upgrades) and holds no
+    // dispatch lock, so the serialization is invisible in steady state.
     static std::mutex store_mutex;
     const std::lock_guard<std::mutex> store_lock(store_mutex);
     PlanInfo info;

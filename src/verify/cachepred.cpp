@@ -1325,11 +1325,6 @@ const char* obs_stage_model(obs::Stage stage) noexcept {
     case obs::Stage::stream_ola: return "waived: stream staging outside the plan address space";
     case obs::Stage::svc_tenant_batch:
       return "waived: service staging outside the plan address space";
-    case obs::Stage::huge_transpose:
-      return "modeled: 'reorg gather' + 'permute gather (scratch)'/'permute unpack' passes "
-             "(an fs node is the ctddlf pipeline; its transposes are the same tiled passes)";
-    case obs::Stage::huge_cols: return "expanded: left-subtree passes (four-step column stage)";
-    case obs::Stage::huge_rows: return "expanded: right-subtree passes (four-step row stage)";
     case obs::Stage::count_: return "waived: sentinel";
   }
   return "waived: unknown stage";

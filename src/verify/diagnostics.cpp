@@ -19,8 +19,6 @@ const char* rule_name(Rule rule) noexcept {
     case Rule::stream_geometry: return "stream_geometry";
     case Rule::svc_tenant_policy: return "svc_tenant_policy";
     case Rule::svc_lane_rules: return "svc_lane_rules";
-    case Rule::fs_geometry: return "fs_geometry";
-    case Rule::svc_shard_rules: return "svc_shard_rules";
   }
   return "unknown";
 }

@@ -113,31 +113,6 @@ void check_node(const plan::Node& node, const std::string& path, const VerifyOpt
            "fused twiddle+scatter split is FFT-only (WHT has no twiddle pass)", 0, node.n);
     }
   }
-  if (node.fourstep) {
-    // Four-step legality (Rule::fs_geometry). An fs node is the ctddlf
-    // pipeline routed through ddl::huge; the verifier re-derives what the
-    // factory enforces because Node fields are plain data.
-    if (!node.ddl || !node.fused) {
-      diag(report, Rule::fs_geometry, path,
-           "four-step split must carry the ddl+fused execution flags (fs is the ctddlf "
-           "pipeline)",
-           1, node.ddl ? 0 : 1);
-    }
-    if (opts.transform == Transform::wht) {
-      diag(report, Rule::fs_geometry, path,
-           "four-step split is FFT-only (the fused twiddle stage has no WHT meaning)", 0,
-           node.n);
-    }
-    if (n1 < 2 || n2 < 2 || node.n < plan::kMinFourStepPoints) {
-      diag(report, Rule::fs_geometry, path,
-           "four-step node below the minimum size (factors >= 2, n >= kMinFourStepPoints)",
-           plan::kMinFourStepPoints, node.n);
-    } else if (std::max(n1, n2) > plan::kMaxFourStepAspect * std::min(n1, n2)) {
-      diag(report, Rule::fs_geometry, path,
-           "four-step aspect ratio too skewed for the tiled inter-stage transpose",
-           plan::kMaxFourStepAspect, std::max(n1, n2) / std::min(n1, n2));
-    }
-  }
   if (opts.transform == Transform::fft) {
     // The incremental twiddle index walk (idx += i; if (idx >= n) idx -= n)
     // of detail::twiddle_pass_rows/_cols stays inside the length-n table
@@ -311,18 +286,6 @@ Report verify_service_config(const ServiceLimits& limits) {
          "priority-lane reserve outside [0, queue_capacity - 1]",
          static_cast<index_t>(limits.queue_capacity >= 1 ? limits.queue_capacity - 1 : 0),
          static_cast<index_t>(limits.critical_reserve));
-  }
-  return report;
-}
-
-Report verify_shard_config(long long shards, const ServiceLimits& limits) {
-  Report report = verify_service_config(limits);
-  // Shard bounds: each shard runs its own batcher thread and queue; an
-  // unbounded shard count turns a config typo into a thread bomb.
-  if (shards < 1 || shards > kMaxServiceShards) {
-    diag(report, Rule::svc_shard_rules, "config.shards",
-         "shard count outside [1, kMaxServiceShards]",
-         static_cast<index_t>(kMaxServiceShards), static_cast<index_t>(shards));
   }
   return report;
 }

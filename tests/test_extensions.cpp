@@ -1,7 +1,7 @@
 // Tests for the extension transforms built on the core engine: Bluestein
 // arbitrary-length FFT, 2-D FFT (strided vs transpose column passes),
-// real-input FFT, DCT-II/III, the measured (Fig. 8) planner, and the
-// streaming partitioned convolution behind examples/convolution.cpp.
+// DCT-II/III, the measured (Fig. 8) planner, and the streaming partitioned
+// convolution behind examples/convolution.cpp.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "ddl/fft/dct.hpp"
 #include "ddl/fft/fft2d.hpp"
 #include "ddl/fft/planner.hpp"
-#include "ddl/fft/realfft.hpp"
 #include "ddl/fft/reference.hpp"
 #include "ddl/plan/grammar.hpp"
 #include "ddl/stream/stream.hpp"
@@ -174,54 +173,6 @@ TEST(Fft2d, StridedAndTransposeModesAgree) {
   strided.forward(a.span());
   transposed.forward(b.span());
   EXPECT_LT(max_abs_diff(a.span(), b.span()), 1e-9 * rows * cols);
-}
-
-// ---------------------------------------------------------------------------
-// Real FFT
-// ---------------------------------------------------------------------------
-
-class RealFftParam : public ::testing::TestWithParam<index_t> {};
-
-TEST_P(RealFftParam, MatchesComplexReference) {
-  const index_t n = GetParam();
-  std::vector<real_t> x(static_cast<std::size_t>(n));
-  fill_random(std::span<real_t>(x), 500 + static_cast<std::uint64_t>(n));
-
-  std::vector<cplx> xc(x.begin(), x.end());
-  std::vector<cplx> expect(xc.size());
-  dft_reference(std::span<const cplx>(xc), std::span<cplx>(expect));
-
-  RealFft fft(n);
-  std::vector<cplx> spectrum(static_cast<std::size_t>(fft.spectrum_size()));
-  fft.forward(std::span<const real_t>(x), std::span<cplx>(spectrum));
-  for (index_t k = 0; k <= n / 2; ++k) {
-    EXPECT_NEAR(std::abs(spectrum[static_cast<std::size_t>(k)] -
-                         expect[static_cast<std::size_t>(k)]),
-                0.0, 1e-10 * n)
-        << "k=" << k;
-  }
-
-  std::vector<real_t> back(static_cast<std::size_t>(n), 0.0);
-  fft.inverse(std::span<const cplx>(spectrum), std::span<real_t>(back));
-  for (index_t j = 0; j < n; ++j) {
-    EXPECT_NEAR(back[static_cast<std::size_t>(j)], x[static_cast<std::size_t>(j)], 1e-10 * n);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, RealFftParam,
-                         ::testing::Values<index_t>(2, 4, 8, 16, 64, 256, 1024, 4096, 24, 96));
-
-TEST(RealFft, RejectsOddLength) { EXPECT_THROW(RealFft(15), std::invalid_argument); }
-
-TEST(RealFft, DcAndNyquistAreReal) {
-  const index_t n = 128;
-  std::vector<real_t> x(static_cast<std::size_t>(n));
-  fill_random(std::span<real_t>(x), 8);
-  RealFft fft(n);
-  std::vector<cplx> spectrum(static_cast<std::size_t>(fft.spectrum_size()));
-  fft.forward(std::span<const real_t>(x), std::span<cplx>(spectrum));
-  EXPECT_NEAR(spectrum.front().imag(), 0.0, 1e-12 * n);
-  EXPECT_NEAR(spectrum.back().imag(), 0.0, 1e-12 * n);
 }
 
 // ---------------------------------------------------------------------------

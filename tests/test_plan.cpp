@@ -1,5 +1,6 @@
 // Tests for the plan infrastructure: trees, implied strides (Property 1),
-// the grammar parser/printer, the cost database, and wisdom persistence.
+// the grammar parser/printer, the cost database, wisdom persistence, and
+// DDLSNAP snapshots of both stores.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "ddl/fft/plan_cache.hpp"
 #include "ddl/plan/costdb.hpp"
 #include "ddl/plan/grammar.hpp"
+#include "ddl/plan/snapshot.hpp"
 #include "ddl/plan/tree.hpp"
 #include "ddl/plan/wisdom.hpp"
 
@@ -484,6 +486,146 @@ TEST(Wisdom, SaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(read_bytes(first), read_bytes(second));
   std::filesystem::remove(first);
   std::filesystem::remove(second);
+}
+
+// ---------------------------------------------------------------------------
+// DDLSNAP snapshots: byte-identical round-trip, fail-closed merges
+// ---------------------------------------------------------------------------
+
+void fill_stores(CostDb& costs, Wisdom& wisdom) {
+  costs.put({"dft_leaf", 16, 1, 0, "avx2"}, 1.25e-8, CostSource::calibrated);
+  costs.put({"dft_leaf", 32, 4, 0, ""}, 3.5e-8, CostSource::probe);
+  costs.put({"reorg_gather", 256, 4096, 0, ""}, 9.75e-7, CostSource::probe);
+  wisdom.remember("fft", "ddl_dp", 65536, {"ctddlf(st(256),st(256))", 4.0e-4});
+  wisdom.remember("fft", "ddl_dp", 1 << 20, {"ctddlf(ct(16,16),st(4096))", 8.0e-3});
+}
+
+TEST(Snapshot, ExportMergeExportIsByteIdentical) {
+  CostDb costs;
+  Wisdom wisdom;
+  fill_stores(costs, wisdom);
+
+  const auto first = temp_file("snap_a");
+  const auto second = temp_file("snap_b");
+  ASSERT_TRUE(save_snapshot(first, costs, wisdom));
+
+  CostDb merged_costs;
+  Wisdom merged_wisdom;
+  std::string error;
+  ASSERT_TRUE(merge_snapshot(first, merged_costs, merged_wisdom, &error)) << error;
+  EXPECT_EQ(merged_costs.size(), costs.size());
+  EXPECT_EQ(merged_wisdom.size(), wisdom.size());
+
+  ASSERT_TRUE(save_snapshot(second, merged_costs, merged_wisdom));
+  EXPECT_EQ(read_bytes(first), read_bytes(second));
+  std::filesystem::remove(first);
+  std::filesystem::remove(second);
+}
+
+TEST(Snapshot, MergeIsLastWriterWinsPerKey) {
+  CostDb costs;
+  Wisdom wisdom;
+  fill_stores(costs, wisdom);
+  const auto file = temp_file("snap_lww");
+  ASSERT_TRUE(save_snapshot(file, costs, wisdom));
+
+  CostDb target;
+  Wisdom target_wisdom;
+  // Pre-existing entries: one overlapping key (overwritten), one foreign
+  // key (preserved).
+  target.put({"dft_leaf", 16, 1, 0, "avx2"}, 99.0, CostSource::probe);
+  target.put({"dft_leaf", 8, 1, 0, "sse2"}, 5.0e-9, CostSource::calibrated);
+
+  ASSERT_TRUE(merge_snapshot(file, target, target_wisdom, nullptr));
+  EXPECT_EQ(target.size(), costs.size() + 1);  // foreign key survived
+  // The snapshot's calibrated 1.25e-8 overwrote the stale probe value (the
+  // measure closure must not run — the key is present).
+  const double merged = target.get_or_measure({"dft_leaf", 16, 1, 0, "avx2"}, [] { return 0.0; });
+  EXPECT_DOUBLE_EQ(merged, 1.25e-8);
+  EXPECT_TRUE(target.is_calibrated({"dft_leaf", 16, 1, 0, "avx2"}));
+  std::filesystem::remove(file);
+}
+
+TEST(Snapshot, CorruptFilesRejectedWithStoresUntouched) {
+  const struct {
+    const char* tag;
+    const char* body;
+  } cases[] = {
+      {"bad_header", "DDLSNAP 2\ncostdb 0\nwisdom 0\n"},
+      {"truncated", "DDLSNAP 1\ncostdb 3\ndft_leaf 16 1 0 - 1e-8\n"},
+      {"bad_count", "DDLSNAP 1\ncostdb zillions\nwisdom 0\n"},
+      {"bad_cost", "DDLSNAP 1\ncostdb 1\ndft_leaf 16 1 0 - -3.0\nwisdom 0\n"},
+      {"bad_tree", "DDLSNAP 1\ncostdb 0\nwisdom 1\nfft ddl_dp 64 1e-5 ct(not,a,tree)\n"},
+      {"size_mismatch", "DDLSNAP 1\ncostdb 0\nwisdom 1\nfft ddl_dp 128 1e-5 ct(16,16)\n"},
+      {"trailing", "DDLSNAP 1\ncostdb 0\nwisdom 0\nsome trailing garbage\n"},
+  };
+  for (const auto& c : cases) {
+    const auto file = temp_file(c.tag);
+    write_text(file, c.body);
+    CostDb costs;
+    Wisdom wisdom;
+    std::string error;
+    EXPECT_FALSE(merge_snapshot(file, costs, wisdom, &error)) << c.tag;
+    EXPECT_FALSE(error.empty()) << c.tag;
+    EXPECT_EQ(costs.size(), 0u) << c.tag;  // fail-closed: nothing committed
+    EXPECT_EQ(wisdom.size(), 0u) << c.tag;
+    std::filesystem::remove(file);
+  }
+}
+
+// Four-step "fs(n1,n2)" nodes are no longer part of the grammar. Wisdom and
+// snapshot files written while they were carry such trees; both loaders must
+// reject them with a line-numbered error and leave the stores as they were.
+TEST(Snapshot, StaleFourStepTreesAreRejected) {
+  const auto seed = [](CostDb& costs, Wisdom& wisdom) {
+    costs.put({"keep", 2, 1, 0}, 0.5);
+    wisdom.remember("fft", "ddl_dp", 64, {"ct(8,8)", 2.0});
+  };
+
+  const auto wisdom_file = temp_file("wisdom_fs");
+  write_text(wisdom_file,
+             "fft ddl_dp 1024 1e-5 ctddl(32,32)\n"
+             "fft huge 1048576 8e-3 fs(ct(16,16),st(4096))\n");
+  {
+    CostDb costs;
+    Wisdom wisdom;
+    seed(costs, wisdom);
+    EXPECT_FALSE(wisdom.load(wisdom_file));
+    EXPECT_NE(wisdom.load_error().find(":2: bad tree"), std::string::npos)
+        << wisdom.load_error();
+    EXPECT_EQ(wisdom.size(), 1u);
+    EXPECT_FALSE(wisdom.recall("fft", "ddl_dp", 1024).has_value());
+  }
+  std::filesystem::remove(wisdom_file);
+
+  const auto snap_file = temp_file("snap_fs");
+  write_text(snap_file,
+             "DDLSNAP 1\n"
+             "costdb 1\n"
+             "dft_leaf 16 1 0 - 1e-8\n"
+             "wisdom 1\n"
+             "fft huge 1048576 8e-3 fs(ct(16,16),st(4096))\n");
+  {
+    CostDb costs;
+    Wisdom wisdom;
+    seed(costs, wisdom);
+    std::string error;
+    EXPECT_FALSE(merge_snapshot(snap_file, costs, wisdom, &error));
+    EXPECT_NE(error.find(":5: bad tree"), std::string::npos) << error;
+    EXPECT_EQ(costs.size(), 1u);  // the staged dft_leaf cost was not committed
+    EXPECT_TRUE(costs.contains({"keep", 2, 1, 0}));
+    EXPECT_EQ(wisdom.size(), 1u);
+    EXPECT_TRUE(wisdom.recall("fft", "ddl_dp", 64).has_value());
+  }
+  std::filesystem::remove(snap_file);
+}
+
+TEST(Snapshot, MissingFileReportsOpenFailure) {
+  CostDb costs;
+  Wisdom wisdom;
+  std::string error;
+  EXPECT_FALSE(merge_snapshot(temp_file("nonexistent_zzz"), costs, wisdom, &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -113,15 +113,18 @@ std::vector<real_t> convolve_direct(const std::vector<real_t>& x, const std::vec
 // -------------------------------------------------------------------------
 
 TEST(StreamRfft, MatchesComplexReferenceWithin2Ulp) {
-  for (const index_t n : {index_t{2}, index_t{4}, index_t{16}, index_t{96}, index_t{1024}}) {
+  // 24 keeps a non-power-of-two half transform (12 points) in the sweep.
+  for (const index_t n : {index_t{2}, index_t{4}, index_t{8}, index_t{16}, index_t{24},
+                          index_t{64}, index_t{96}, index_t{256}, index_t{1024}, index_t{4096}}) {
     const auto x = random_real(n, 17 + static_cast<std::uint64_t>(n));
 
     stream::Rfft rfft(n);
     std::vector<cplx> spec(static_cast<std::size_t>(rfft.bins()));
     rfft.forward(std::span<const real_t>(x), std::span<cplx>(spec));
 
-    // Complex reference: full n-point transform of the same samples.
-    auto fft = fft::Fft::plan(n, fft::Strategy::ddl_dp);
+    // Complex reference: full n-point transform of the same samples. The
+    // fixed rightmost tree keeps the sweep free of planner measurements.
+    auto fft = fft::Fft::plan(n, fft::Strategy::rightmost);
     AlignedBuffer<cplx> ref(n);
     for (index_t i = 0; i < n; ++i) ref[i] = {x[static_cast<std::size_t>(i)], 0.0};
     fft.forward(ref.span());
@@ -135,6 +138,23 @@ TEST(StreamRfft, MatchesComplexReferenceWithin2Ulp) {
       EXPECT_NEAR(spec[static_cast<std::size_t>(k)].imag(), ref[k].imag(), tol)
           << "n=" << n << " bin=" << k;
     }
+  }
+}
+
+TEST(StreamRfft, DcAndNyquistAreReal) {
+  // A real signal's bins 0 and n/2 are sums of real samples (with +-1
+  // weights at Nyquist), so their imaginary parts must vanish.
+  for (const index_t n : {index_t{2}, index_t{24}, index_t{128}}) {
+    const auto x = random_real(n, 8 + static_cast<std::uint64_t>(n));
+    stream::Rfft rfft(n);
+    std::vector<cplx> spec(static_cast<std::size_t>(rfft.bins()));
+    rfft.forward(std::span<const real_t>(x), std::span<cplx>(spec));
+
+    double scale = 0.0;
+    for (const real_t v : x) scale += std::abs(v);
+    const double tol = ulp_tol(std::max(scale, 1.0));
+    EXPECT_NEAR(spec.front().imag(), 0.0, tol) << "n=" << n;
+    EXPECT_NEAR(spec.back().imag(), 0.0, tol) << "n=" << n;
   }
 }
 

@@ -24,7 +24,9 @@
 #include "ddl/fft/executor.hpp"
 #include "ddl/fft/plan_cache.hpp"
 #include "ddl/obs/obs.hpp"
+#include "ddl/plan/costdb.hpp"
 #include "ddl/plan/grammar.hpp"
+#include "ddl/plan/wisdom.hpp"
 #include "ddl/svc/service.hpp"
 #include "ddl/verify/plan_verify.hpp"
 #include "ddl/wht/wht_api.hpp"
@@ -690,6 +692,65 @@ TEST(Svc, TenantAndLaneConfigRulesGateConstruction) {
     positioned = positioned || d.node_path == "config.tenants[0].weight";
   }
   EXPECT_TRUE(positioned);
+}
+
+// ServiceConfig::cost_db and ::wisdom are borrowed, so two services may
+// share one CostDb/Wisdom pair. Each batcher thread cold-plans its own
+// first-seen sizes; the process-wide planning mutex must serialize their
+// store accesses (the tsan preset runs this), every plan must land in the
+// shared wisdom, and each result must be exactly what the recorded tree
+// computes.
+TEST(Svc, TwoServicesShareStoresWhileColdPlanning) {
+  plan::CostDb costs;
+  plan::Wisdom wisdom;
+  svc::ServiceConfig cfg = test_config();
+  cfg.plan_dp = true;
+  cfg.cost_db = &costs;
+  cfg.wisdom = &wisdom;
+  svc::TransformService a(cfg);
+  svc::TransformService b(cfg);
+
+  const std::array<std::vector<index_t>, 2> sizes = {
+      std::vector<index_t>{256, 1024, 4096}, std::vector<index_t>{512, 2048, 8192}};
+  std::array<svc::TransformService*, 2> services = {&a, &b};
+  std::array<std::vector<std::vector<cplx>>, 2> inputs;
+  std::array<std::vector<std::vector<cplx>>, 2> outputs;
+  std::atomic<int> not_ok{0};
+  {
+    std::vector<std::thread> producers;  // ddl-lint: allow(raw-thread)
+    for (std::size_t p = 0; p < 2; ++p) {
+      producers.emplace_back([&, p] {
+        for (const index_t n : sizes[p]) {
+          std::vector<cplx> data = random_signal(n, 70 + static_cast<std::uint64_t>(n));
+          inputs[p].push_back(data);
+          if (services[p]->submit_fft(data).get().status != svc::Status::ok) {
+            not_ok.fetch_add(1);
+          }
+          outputs[p].push_back(std::move(data));
+        }
+      });
+    }
+    for (auto& t : producers) t.join();
+  }
+  a.drain();
+  b.drain();
+  EXPECT_EQ(not_ok.load(), 0);
+  EXPECT_EQ(a.stats().fallback_plans + b.stats().fallback_plans, 0u);
+
+  for (std::size_t p = 0; p < 2; ++p) {
+    for (std::size_t i = 0; i < sizes[p].size(); ++i) {
+      const index_t n = sizes[p][i];
+      const auto hit = wisdom.recall("fft", "ddl_dp", n);
+      ASSERT_TRUE(hit.has_value()) << "n=" << n;
+      std::vector<cplx> expect = inputs[p][i];
+      fft::FftExecutor exec(*plan::parse_tree(hit->tree));
+      exec.forward(expect);
+      for (index_t k = 0; k < n; ++k) {
+        ASSERT_EQ(outputs[p][i][k].real(), expect[k].real()) << "n=" << n << " k=" << k;
+        ASSERT_EQ(outputs[p][i][k].imag(), expect[k].imag()) << "n=" << n << " k=" << k;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -67,17 +67,6 @@ flagged line or the line above; waivers should be rare and justified):
                     turns into an out-of-bounds read instead of a clean
                     WireError.
 
-  numa-syscall      Memory-placement and affinity syscalls (mmap/munmap/
-                    madvise/mbind/set_mempolicy/move_pages, raw syscall(),
-                    pthread_setaffinity_np/sched_setaffinity) are confined
-                    to the one translation unit that owns them:
-                    src/common/numa_arena.cpp (the NumaArena + thread
-                    pinning implementation, docs/HUGE.md). Everywhere else
-                    allocates through AlignedBuffer or NumaArena and pins
-                    through ddl::parallel — scattered placement syscalls
-                    are unauditable and break the graceful-fallback story
-                    on hosts without NUMA support.
-
   stage-coverage    Every obs::Stage enum value (include/ddl/obs/obs.hpp)
                     must be mentioned in src/verify/cachepred.cpp — the
                     symbolic cache model's obs_stage_model() catalogue,
@@ -171,14 +160,6 @@ WIRE_COPY = re.compile(
     r"|\b\w+\s*\+=\s*sizeof\b"
 )
 
-# The one TU allowed to issue placement/affinity syscalls (plus its header,
-# which declares but never calls them).
-NUMA_ALLOWED = ("src/common/numa_arena.cpp",)
-NUMA_SYSCALL = re.compile(
-    r"\b(?:mmap|munmap|madvise|mbind|set_mempolicy|move_pages|syscall"
-    r"|pthread_setaffinity_np|sched_setaffinity)\s*\("
-)
-
 WAIVER = re.compile(r"//\s*ddl-lint:\s*allow\(([\w-]+(?:\s*,\s*[\w-]+)*)\)")
 
 
@@ -241,7 +222,6 @@ def lint_file(path: Path, rel: str, findings: list[str]) -> None:
     )
     check_stream_alloc = rel.startswith(STREAM_ALLOC_DIRS)
     check_wire = rel.startswith(("src/", "include/")) and "wire" in path.name
-    check_numa = rel.startswith(("src/", "include/", "apps/", "bench/")) and rel not in NUMA_ALLOWED
 
     in_block = False
     cleaned: list[str] = []
@@ -301,15 +281,6 @@ def lint_file(path: Path, rel: str, findings: list[str]) -> None:
                 f"{rel}:{idx + 1}: wire-copy: unchecked copy/pointer-advance"
                 f" read in wire parsing — decode through the bounds-checked"
                 f" Cursor (docs/SERVICE.md): {raw.strip()}"
-            )
-        if check_numa and NUMA_SYSCALL.search(code) and not waived(
-            "numa-syscall", lines, idx
-        ):
-            findings.append(
-                f"{rel}:{idx + 1}: numa-syscall: placement/affinity syscalls"
-                f" live only in src/common/numa_arena.cpp — allocate through"
-                f" NumaArena and pin through ddl::parallel (docs/HUGE.md):"
-                f" {raw.strip()}"
             )
 
     if rel.startswith("src/") and "executor" in rel:

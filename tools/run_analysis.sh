@@ -4,7 +4,7 @@
 #   1. tools/ddl_lint.py           project-specific lint (stride-arith,
 #                                  reinterpret-cast, naked-new, require-entry,
 #                                  raw-clock, raw-thread, stream-alloc,
-#                                  wire-copy, numa-syscall, stage-coverage)
+#                                  wire-copy, stage-coverage)
 #   2. clang-tidy                  .clang-tidy profile over src/ and apps/
 #                                  (skipped with a note if not installed)
 #   3. default preset              warning-free -Werror build + full ctest
@@ -28,12 +28,12 @@
 #   5b. stream smoke               `ddlfft stream` chain verify (RFFT/STFT/
 #                                  partitioned convolution vs direct
 #                                  reference) + stream_latency JSON export
-#   5e. huge smoke                 `ddlfft plan --huge` returns an fs(...)
-#                                  four-step root at 2^20, the root verifies
-#                                  clean, the profile path executes it through
-#                                  the staged HugeExecutor, and analyze-plan
-#                                  on a canonical fs tree diffs against its
-#                                  checked-in golden (tools/golden/)
+#   5e. benchmark smoke (not --fast) `python3 benchmark/run.py --smoke`
+#                                  builds the repository benchmark in its own
+#                                  tree and runs all four workloads at 1/20
+#                                  length; fails if any workload's output
+#                                  check fails (correct=false: a wrong
+#                                  result, or an svc request shed or late)
 #   6. autotune smoke              `ddlfft autotune` on tiny sizes: calibrate
 #                                  from traced runs, re-plan over measured
 #                                  costs (fails if the DP never consulted
@@ -56,8 +56,8 @@
 #                                  gets must stay green on its own
 #
 # Any finding or failure exits non-zero. Usage: tools/run_analysis.sh [--fast]
-# (--fast skips the sanitizer and nosimd suites; lint + tidy + default
-# build/test + profile smoke only).
+# (--fast skips the sanitizer and nosimd suites, the sustained svc run and
+# the benchmark smoke).
 
 set -u -o pipefail
 
@@ -162,26 +162,26 @@ assert all('p50_us' in r['extra'] and 'p99_us' in r['extra'] for r in rows)
 }
 check "ddlfft stream smoke (chain verify + BENCH_stream JSON)" stream_smoke
 
-# 5e. huge smoke: the out-of-LLC path end to end at a CI-friendly size —
-#     plan_huge must return an fs(...) root, the root must pass the static
-#     verifier (fs_geometry et al.), the staged executor must run it, and
-#     the symbolic analyzer's fs stage catalogue is pinned by a golden.
-huge_smoke() {
-  local plan_out
-  plan_out="$(./build/apps/ddlfft plan --huge --n 2^20)" || return 1
-  grep -q 'fs(' <<<"$plan_out" ||
-    { echo "plan --huge did not return an fs(...) root:"; echo "$plan_out"; return 1; }
-  local tree
-  tree="$(sed -n 's/^ *tree: *//p' <<<"$plan_out" | head -1)"
-  ./build/apps/ddlfft verify --tree "$tree" >/dev/null ||
-    { echo "huge plan failed verification: $tree"; return 1; }
-  ./build/apps/ddlfft profile 2^20 --huge --reps 2 >/dev/null ||
-    { echo "profile --huge failed on $tree"; return 1; }
-  ./build/apps/ddlfft analyze-plan --tree "fs(st(1024),st(1024))" \
-    --cache 32K:8,512K:1 > build/analyze_fs.txt &&
-    diff -u tools/golden/analyze_fs_st1024_st1024.txt build/analyze_fs.txt
-}
-check "huge smoke (plan --huge fs root + verify + staged profile + golden)" huge_smoke
+# 5e. benchmark smoke: the repository benchmark (benchmark/README.md) at 1/20
+#     length. run.py exits 0 whenever every workload produced a report, so
+#     the step reads its last stdout line and fails unless every workload's
+#     output verified. Skipped by --fast: it configures and builds its own
+#     Release tree (.bench_build/).
+if [[ "$FAST" == "0" ]]; then
+  bench_smoke() {
+    python3 benchmark/run.py --smoke --out build/bench_smoke > build/bench_smoke.txt ||
+      { cat build/bench_smoke.txt; return 1; }
+    tail -n 1 build/bench_smoke.txt | python3 -c "
+import json, sys
+line = json.load(sys.stdin)
+assert line['correct'] and line['attempted'] > 0, line
+"
+  }
+  check "benchmark smoke (run.py --smoke, every workload verified)" bench_smoke
+else
+  note "benchmark smoke"
+  echo "-- benchmark smoke: skipped (--fast)"
+fi
 
 # 5d. sustained service run: refreshes the committed BENCH_svc.json at the
 #     repo root and enforces the multi-tenant fairness figure. Exit 2 (open
