@@ -387,9 +387,9 @@ int cmd_simulate(const cli::Args& args) {
 
   cache::Cache sim_cache(cfg);
   if (is_wht) {
-    sim::WhtTracer(sim_cache).run(*tree);
+    sim::trace_wht(*tree, sim_cache);
   } else {
-    sim::FftTracer(sim_cache).run(*tree);
+    sim::trace_fft(*tree, sim_cache);
   }
 
   const auto& s = sim_cache.stats();

@@ -38,7 +38,7 @@ double miss_pct(const plan::Node& tree, int assoc, cache::Prefetch pf, int strea
                   .replacement = cache::Replacement::lru,
                   .prefetch = pf,
                   .stream_table = streams});
-  sim::FftTracer(c).run(tree);
+  sim::trace_fft(tree, c);
   return c.stats().miss_rate() * 100.0;
 }
 

@@ -35,9 +35,9 @@ int main() {
   TableWriter table({"line_bytes", "sdl_miss_%", "ddl_miss_%", "ddl_advantage_%"});
   for (const std::size_t line : {16u, 32u, 64u, 128u, 256u}) {
     cache::Cache sdl_cache({kCacheBytes, line, 1, cache::Replacement::lru});
-    sim::FftTracer(sdl_cache).run(*sdl_tree);
+    sim::trace_fft(*sdl_tree, sdl_cache);
     cache::Cache ddl_cache({kCacheBytes, line, 1, cache::Replacement::lru});
-    sim::FftTracer(ddl_cache).run(*ddl_tree);
+    sim::trace_fft(*ddl_tree, ddl_cache);
 
     const double s = sdl_cache.stats().miss_rate() * 100.0;
     const double d = ddl_cache.stats().miss_rate() * 100.0;

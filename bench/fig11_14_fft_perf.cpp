@@ -236,9 +236,9 @@ int main(int argc, char** argv) {
     const auto sdl_tree = fft::rightmost_tree(n, 32);
     const auto ddl_tree = fft::balanced_tree(n, 32, cache_points);
     cache::Cache sdl_cache({p.cache_bytes, p.line_bytes, p.assoc, cache::Replacement::lru});
-    sim::FftTracer(sdl_cache).run(*sdl_tree);
+    sim::trace_fft(*sdl_tree, sdl_cache);
     cache::Cache ddl_cache({p.cache_bytes, p.line_bytes, p.assoc, cache::Replacement::lru});
-    sim::FftTracer(ddl_cache).run(*ddl_tree);
+    sim::trace_fft(*ddl_tree, ddl_cache);
     const double s = sdl_cache.stats().miss_rate() * 100.0;
     const double d = ddl_cache.stats().miss_rate() * 100.0;
     sim_table.add_row({p.name, fmt_double(s, 2), fmt_double(d, 2),

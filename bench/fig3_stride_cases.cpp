@@ -35,7 +35,7 @@ int main() {
   for (int k = 0; k <= 17; ++k) {
     const index_t s = pow2(k);
     cache::Cache dm({kCacheBytes, kLineBytes, 1, cache::Replacement::lru});
-    sim::simulate_leaf_sweep(dm, n, s, dfts);
+    sim::replay_pass(verify::cachepred::leaf_sweep_pass(n, s, dfts, sizeof(cplx)), dm);
     const char* regime = (n * s <= kCachePoints) ? "I/II" : "III";
     table.add_row({fmt_pow2(s), fmt_pow2(n * s), regime,
                    std::to_string(dm.stats().misses),
@@ -49,13 +49,13 @@ int main() {
   std::cout << "\nFig. 6 worked example (C=64 points, B=4 points):\n";
   {
     cache::Cache dm({64 * sizeof(cplx), 4 * sizeof(cplx), 1, cache::Replacement::lru});
-    sim::simulate_leaf_sweep(dm, 16, 16, 1);
+    sim::replay_pass(verify::cachepred::leaf_sweep_pass(16, 16, 1, sizeof(cplx)), dm);
     std::cout << "  stride-16 16-pt DFT: " << dm.stats().misses << "/"
               << dm.stats().accesses << " accesses miss (maps onto only 4 sets)\n";
   }
   {
     cache::Cache dm({64 * sizeof(cplx), 4 * sizeof(cplx), 1, cache::Replacement::lru});
-    sim::simulate_leaf_sweep(dm, 16, 1, 1);
+    sim::replay_pass(verify::cachepred::leaf_sweep_pass(16, 1, 1, sizeof(cplx)), dm);
     std::cout << "  after reorganization (unit stride): " << dm.stats().misses << "/"
               << dm.stats().accesses << " accesses miss (4 compulsory line fetches)\n";
   }

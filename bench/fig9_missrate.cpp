@@ -41,10 +41,10 @@ int main() {
                                            : fft::rightmost_tree(n, 32);
 
     cache::Cache sdl_cache({kCacheBytes, kLineBytes, 1, cache::Replacement::lru});
-    sim::FftTracer(sdl_cache).run(*sdl_tree);
+    sim::trace_fft(*sdl_tree, sdl_cache);
 
     cache::Cache ddl_cache({kCacheBytes, kLineBytes, 1, cache::Replacement::lru});
-    sim::FftTracer(ddl_cache).run(*ddl_tree);
+    sim::trace_fft(*ddl_tree, ddl_cache);
 
     const double sdl_rate = sdl_cache.stats().miss_rate() * 100.0;
     const double ddl_rate = ddl_cache.stats().miss_rate() * 100.0;

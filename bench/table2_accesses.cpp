@@ -34,9 +34,9 @@ int main() {
                                            : fft::rightmost_tree(n, 32);
 
     cache::Cache sdl_cache({kCacheBytes, 64, 1, cache::Replacement::lru});
-    sim::FftTracer(sdl_cache).run(*sdl_tree);
+    sim::trace_fft(*sdl_tree, sdl_cache);
     cache::Cache ddl_cache({kCacheBytes, 64, 1, cache::Replacement::lru});
-    sim::FftTracer(ddl_cache).run(*ddl_tree);
+    sim::trace_fft(*ddl_tree, ddl_cache);
 
     const auto& s = sdl_cache.stats();
     const auto& d = ddl_cache.stats();

@@ -106,7 +106,9 @@ struct PlannerOptions {
   /// function instead of a wall-clock measurement (still memoized through
   /// the CostDb). Lets the same DP search plan for *modelled* hardware —
   /// e.g. sim::simulated_cost_oracle() plans for a 1999-style cache and
-  /// reproduces the paper's Table V/VI tree shapes on any host.
+  /// reproduces the paper's Table V/VI tree shapes on any host. The DP then
+  /// plans for one worker, so the host's thread count never changes an
+  /// oracle plan.
   std::function<double(const plan::CostKey&)> cost_oracle;
 
   /// Symbolic cache-model integration (cold-start costs, split prefilter).
@@ -183,6 +185,7 @@ class FftPlanner {
   };
 
   const Best& best(index_t n, index_t stride, bool allow_ddl);
+  double fanout_workers(index_t node_n, index_t items) const;
   const Best& measured_best(index_t n, index_t stride, bool allow_ddl, double floor);
   double measure_subtree(const plan::Node& tree, index_t stride, double floor);
 

@@ -1,24 +1,27 @@
 #pragma once
 /// \file trace.hpp
-/// \brief Address-trace generation for factorized transforms.
+/// \brief Whole-plan address traces into a cache::Cache.
 ///
-/// Walks a factorization tree in exactly the order the executors do
-/// (fft/executor.cpp, wht/executor.cpp — including the 16x16 tiling of the
-/// blocked transposes) and feeds the resulting byte-address stream into a
-/// cache::Cache. This regenerates the paper's Shade-simulator study
-/// (Fig. 9, Fig. 10, Table II) without 1999 hardware: conflict misses and
-/// line pollution depend only on the address stream and cache geometry.
+/// This regenerates the paper's Shade-simulator study (Fig. 9, Fig. 10,
+/// Table II) without 1999 hardware: conflict misses and line pollution
+/// depend only on the address stream and the cache geometry. Nothing here
+/// spells out an address stream. verify::cachepred's stage builders are the
+/// one description of where each executor stage reads and writes
+/// (including the 16x16 tiling of the blocked transposes). trace_fft and
+/// trace_wht walk a plan's passes in the executors' order
+/// (cachepred::walk_execution_order), and the simulated cost oracle replays
+/// one DP primitive's passes (cachepred::primitive_passes).
 ///
-/// Synthetic address space:
+/// Synthetic address space (cachepred::enumerate_passes):
 ///   [0, n*elem)                      — the transform data array
 ///   [data_end, data_end + 2n*elem)   — the scratch arena
 ///   above that                       — one twiddle table per composite size
 ///
-/// All regions are line-aligned, as the real allocator guarantees.
+/// All regions are aligned to the simulated cache's line size, as the real
+/// allocator guarantees line alignment.
 
 #include <cstdint>
 #include <functional>
-#include <map>
 
 #include "ddl/cachesim/cache.hpp"
 #include "ddl/common/types.hpp"
@@ -34,68 +37,22 @@ struct TraceOptions {
   bool include_twiddles = true;           ///< count twiddle-table traffic (FFT)
 };
 
-/// Trace generator for FFT factorization trees.
-class FftTracer {
- public:
-  FftTracer(cache::Cache& cache, TraceOptions opts = {});
+/// Feed the address stream of one forward FFT of `tree` (root stride 1)
+/// into `cache`.
+void trace_fft(const plan::Node& tree, cache::Cache& cache, TraceOptions opts = {});
 
-  /// Simulate one forward transform of `tree` (root stride 1).
-  void run(const plan::Node& tree);
-
- private:
-  void node(const plan::Node& nd, std::uint64_t base, index_t stride, std::uint64_t arena);
-  void leaf(index_t n, std::uint64_t base, index_t stride);
-  void stockham_leaf(index_t n, std::uint64_t base, index_t stride, std::uint64_t arena);
-  void twiddle_rows(index_t n, index_t n1, index_t n2, std::uint64_t base, index_t stride);
-  void twiddle_cols(index_t n, index_t n1, index_t n2, std::uint64_t scratch);
-  void twiddle_scatter(std::uint64_t data, index_t stride, index_t n1, index_t n2,
-                       std::uint64_t scratch);
-  void transpose_gather(std::uint64_t data, index_t stride, index_t n1, index_t n2,
-                        std::uint64_t scratch);
-  void transpose_scatter(std::uint64_t data, index_t stride, index_t n1, index_t n2,
-                         std::uint64_t scratch);
-  void permute(std::uint64_t base, index_t stride, index_t n, index_t m, std::uint64_t scratch);
-
-  std::uint64_t twiddle_base(index_t n);
-
-  cache::Cache& cache_;
-  TraceOptions opts_;
-  std::uint64_t data_base_ = 0;
-  std::uint64_t arena_base_ = 0;
-  std::uint64_t next_region_ = 0;
-  std::map<index_t, std::uint64_t> twiddle_regions_;
-};
-
-/// Trace generator for WHT factorization trees (no twiddles, no final
-/// permutation, right stage first — mirroring wht/executor.cpp).
-class WhtTracer {
- public:
-  explicit WhtTracer(cache::Cache& cache, TraceOptions opts = {.elem_bytes = sizeof(real_t)});
-
-  void run(const plan::Node& tree);
-
- private:
-  void node(const plan::Node& nd, std::uint64_t base, index_t stride, std::uint64_t arena);
-  void leaf(index_t n, std::uint64_t base, index_t stride);
-
-  cache::Cache& cache_;
-  TraceOptions opts_;
-  std::uint64_t data_base_ = 0;
-  std::uint64_t arena_base_ = 0;
-};
+/// The same for a WHT tree (no twiddles, no final permutation, right stage
+/// first — mirroring wht/executor.cpp).
+void trace_wht(const plan::Node& tree, cache::Cache& cache,
+               TraceOptions opts = {.elem_bytes = sizeof(real_t)});
 
 /// Replay one symbolic access pass (verify::cachepred) through real caches —
 /// the ground truth the property suite holds predict_pass exactly equal to,
 /// transition function against transition function. When `l2` is given it
-/// sees exactly the accesses that miss in `l1`, as in Hierarchy.
+/// sees exactly the accesses that miss in `l1`, as in Hierarchy. The Sec.
+/// III-B / Fig. 3 leaf experiment is replay_pass(leaf_sweep_pass(...)).
 void replay_pass(const verify::cachepred::AccessPass& pass, cache::Cache& l1,
                  cache::Cache* l2 = nullptr);
-
-/// Simulate `count` successive leaf DFTs of size n at the given stride and
-/// consecutive base offsets — the Sec. III-B / Fig. 3 experiment. Returns
-/// after feeding cache; inspect cache.stats().
-void simulate_leaf_sweep(cache::Cache& cache, index_t n, index_t stride, index_t count,
-                         std::size_t elem_bytes = sizeof(cplx));
 
 /// Configuration of the simulated cost oracle.
 struct OracleOptions {
@@ -106,10 +63,11 @@ struct OracleOptions {
 
 /// A cost function for the planners (PlannerOptions::cost_oracle) that
 /// *simulates* each DP primitive on the modelled cache instead of timing it
-/// on the host: cost = accesses + miss_penalty * misses, per primitive
-/// invocation. Handles every key kind both planners emit ("dft_leaf",
-/// "tw_rows", "tw_cols", "perm", "reorg", "reorg_g", "fused_tws",
-/// "stockham", "wht_leaf", "wht_reorg").
+/// on the host: the key's cachepred::primitive_passes replayed through one
+/// cache, cost = accesses + miss_penalty * misses per primitive invocation.
+/// Handles every key kind both planners emit ("dft_leaf", "tw_rows",
+/// "tw_cols", "perm", "reorg", "reorg_g", "fused_tws", "stockham",
+/// "wht_leaf", "wht_reorg"); throws std::invalid_argument on any other.
 ///
 /// Planning with this oracle reproduces the paper's platform-specific tree
 /// choices (Tables V/VI) on any host: on a simulated direct-mapped cache

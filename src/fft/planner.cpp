@@ -354,24 +354,23 @@ double FftPlanner::stockham_cost(index_t n, index_t stride) {
 // available. Primitive probe costs (twiddle/perm/reorg) are NOT discounted:
 // those routines parallelize internally, so the probes already time them as
 // executed. Costs are memoized per planner, so change the thread count
-// before planning, not between plans.
+// before planning, not between plans. A cost oracle models its own machine
+// (sim::simulated_cost_oracle: one 1999 CPU), so oracle plans use one worker
+// and never depend on the host's thread count.
 // ---------------------------------------------------------------------------
 
-namespace {
-
 /// Effective workers for a loop of `items` independent sub-transforms at a
-/// node of `node_n` points: 1 below the executor's fan-out cutoff, else the
-/// usable lane count discounted for dispatch overhead and shared memory
-/// bandwidth (ideal scaling is never reached in practice).
-double fanout_workers(index_t node_n, index_t items) {
-  const int threads = parallel::max_threads();
+/// node of `node_n` points: 1 under a cost oracle or below the executor's
+/// fan-out cutoff, else the usable lane count discounted for dispatch
+/// overhead and shared memory bandwidth (ideal scaling is never reached in
+/// practice).
+double FftPlanner::fanout_workers(index_t node_n, index_t items) const {
+  const int threads = opts_.cost_oracle ? 1 : parallel::max_threads();
   if (threads <= 1 || node_n < parallel::kMinParallelNode) return 1.0;
   const double lanes = std::min<double>(threads, static_cast<double>(items));
   constexpr double kEfficiency = 0.85;
   return 1.0 + kEfficiency * (lanes - 1.0);
 }
-
-}  // namespace
 
 const FftPlanner::Best& FftPlanner::best(index_t n, index_t stride, bool allow_ddl) {
   const auto key = std::make_tuple(n, stride, allow_ddl);

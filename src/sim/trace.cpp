@@ -1,585 +1,68 @@
 #include "ddl/sim/trace.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "ddl/common/check.hpp"
-#include "ddl/layout/reorg.hpp"
 
 namespace ddl::sim {
 
-using layout::kTile;
-
-// ---------------------------------------------------------------------------
-// FftTracer
-// ---------------------------------------------------------------------------
-
-FftTracer::FftTracer(cache::Cache& cache, TraceOptions opts) : cache_(cache), opts_(opts) {
-  DDL_REQUIRE(opts_.elem_bytes > 0, "element size must be positive");
-}
-
-void FftTracer::run(const plan::Node& tree) {
-  const std::uint64_t line = cache_.config().line_bytes;
-  auto align = [line](std::uint64_t a) { return (a + line - 1) / line * line; };
-  data_base_ = 0;
-  arena_base_ = align(static_cast<std::uint64_t>(tree.n) * opts_.elem_bytes);
-  next_region_ = align(arena_base_ + 2 * static_cast<std::uint64_t>(tree.n) * opts_.elem_bytes);
-  twiddle_regions_.clear();
-  node(tree, data_base_, 1, arena_base_);
-}
-
-std::uint64_t FftTracer::twiddle_base(index_t n) {
-  auto it = twiddle_regions_.find(n);
-  if (it != twiddle_regions_.end()) return it->second;
-  const std::uint64_t base = next_region_;
-  const std::uint64_t line = cache_.config().line_bytes;
-  const std::uint64_t bytes = static_cast<std::uint64_t>(n) * opts_.elem_bytes;
-  next_region_ = (base + bytes + line - 1) / line * line;
-  twiddle_regions_.emplace(n, base);
-  return base;
-}
-
-void FftTracer::node(const plan::Node& nd, std::uint64_t base, index_t stride,
-                     std::uint64_t arena) {
-  if (nd.is_leaf()) {
-    if (nd.stockham) {
-      stockham_leaf(nd.n, base, stride, arena);
-    } else {
-      leaf(nd.n, base, stride);
-    }
-    return;
-  }
-  const index_t n = nd.n;
-  const index_t n1 = nd.left->n;
-  const index_t n2 = nd.right->n;
-  const std::uint64_t eb = opts_.elem_bytes;
-
-  if (nd.ddl) {
-    transpose_gather(base, stride, n1, n2, arena);
-    const std::uint64_t child_arena = arena + static_cast<std::uint64_t>(n) * eb;
-    for (index_t j = 0; j < n2; ++j) {
-      node(*nd.left, arena + static_cast<std::uint64_t>(j) * n1 * eb, 1, child_arena);
-    }
-    if (nd.fused) {
-      twiddle_scatter(base, stride, n1, n2, arena);
-    } else {
-      twiddle_cols(n, n1, n2, arena);
-      transpose_scatter(base, stride, n1, n2, arena);
-    }
-  } else {
-    for (index_t j = 0; j < n2; ++j) {
-      node(*nd.left, base + static_cast<std::uint64_t>(j) * stride * eb, stride * n2, arena);
-    }
-    twiddle_rows(n, n1, n2, base, stride);
-  }
-
-  for (index_t i = 0; i < n1; ++i) {
-    node(*nd.right, base + static_cast<std::uint64_t>(i) * n2 * stride * eb, stride, arena);
-  }
-
-  permute(base, stride, n, n2, arena);
-}
-
-void FftTracer::leaf(index_t n, std::uint64_t base, index_t stride) {
-  // Codelets load every point, compute in registers, then store every point.
-  const std::uint64_t eb = opts_.elem_bytes;
-  for (index_t i = 0; i < n; ++i) {
-    cache_.access(base + static_cast<std::uint64_t>(i) * stride * eb, /*is_write=*/false);
-  }
-  for (index_t i = 0; i < n; ++i) {
-    cache_.access(base + static_cast<std::uint64_t>(i) * stride * eb, /*is_write=*/true);
-  }
-}
-
-void FftTracer::stockham_leaf(index_t n, std::uint64_t base, index_t stride,
-                              std::uint64_t arena) {
-  // Mirrors FftExecutor::run_stockham: strided leaves pack into the arena
-  // and ping-pong within it; unit-stride leaves ping-pong data <-> arena.
-  const std::uint64_t eb = opts_.elem_bytes;
-  const std::uint64_t tw = opts_.include_twiddles ? twiddle_base(n) : 0;
-  std::uint64_t src, dst;
-  if (stride > 1) {
-    for (index_t i = 0; i < n; ++i) {
-      cache_.access(base + static_cast<std::uint64_t>(i) * stride * eb, false);
-      cache_.access(arena + static_cast<std::uint64_t>(i) * eb, true);
-    }
-    src = arena;
-    dst = arena + static_cast<std::uint64_t>(n) * eb;
-  } else {
-    src = base;
-    dst = arena;
-  }
-  const std::uint64_t home = src;
-  index_t half = n / 2;
-  index_t s = 1;
-  index_t tstep = 1;
-  while (half >= 1) {
-    for (index_t p = 0; p < half; ++p) {
-      if (opts_.include_twiddles) {
-        cache_.access(tw + static_cast<std::uint64_t>(p * tstep) * eb, false);
-      }
-      for (index_t q = 0; q < s; ++q) {
-        cache_.access(src + static_cast<std::uint64_t>(s * p + q) * eb, false);
-        cache_.access(src + static_cast<std::uint64_t>(s * (p + half) + q) * eb, false);
-        cache_.access(dst + static_cast<std::uint64_t>(2 * s * p + q) * eb, true);
-        cache_.access(dst + static_cast<std::uint64_t>(s * (2 * p + 1) + q) * eb, true);
-      }
-    }
-    std::swap(src, dst);
-    half /= 2;
-    s *= 2;
-    tstep *= 2;
-  }
-  if (src != home) {
-    for (index_t i = 0; i < n; ++i) {
-      cache_.access(src + static_cast<std::uint64_t>(i) * eb, false);
-      cache_.access(home + static_cast<std::uint64_t>(i) * eb, true);
-    }
-  }
-  if (stride > 1) {
-    for (index_t i = 0; i < n; ++i) {
-      cache_.access(arena + static_cast<std::uint64_t>(i) * eb, false);
-      cache_.access(base + static_cast<std::uint64_t>(i) * stride * eb, true);
-    }
-  }
-}
-
-void FftTracer::twiddle_rows(index_t n, index_t n1, index_t n2, std::uint64_t base,
-                             index_t stride) {
-  const std::uint64_t eb = opts_.elem_bytes;
-  const std::uint64_t tw = opts_.include_twiddles ? twiddle_base(n) : 0;
-  index_t idx = 0;
-  for (index_t i = 1; i < n1; ++i) {
-    const std::uint64_t row = base + static_cast<std::uint64_t>(i) * n2 * stride * eb;
-    idx = 0;
-    for (index_t j = 1; j < n2; ++j) {
-      idx += i;
-      if (idx >= n) idx -= n;
-      if (opts_.include_twiddles) {
-        cache_.access(tw + static_cast<std::uint64_t>(idx) * eb, /*is_write=*/false);
-      }
-      const std::uint64_t addr = row + static_cast<std::uint64_t>(j) * stride * eb;
-      cache_.access(addr, /*is_write=*/false);
-      cache_.access(addr, /*is_write=*/true);
-    }
-  }
-}
-
-void FftTracer::twiddle_cols(index_t n, index_t n1, index_t n2, std::uint64_t scratch) {
-  const std::uint64_t eb = opts_.elem_bytes;
-  const std::uint64_t tw = opts_.include_twiddles ? twiddle_base(n) : 0;
-  for (index_t j = 1; j < n2; ++j) {
-    const std::uint64_t col = scratch + static_cast<std::uint64_t>(j) * n1 * eb;
-    index_t idx = 0;
-    for (index_t i = 1; i < n1; ++i) {
-      idx += j;
-      if (idx >= n) idx -= n;
-      if (opts_.include_twiddles) {
-        cache_.access(tw + static_cast<std::uint64_t>(idx) * eb, /*is_write=*/false);
-      }
-      const std::uint64_t addr = col + static_cast<std::uint64_t>(i) * eb;
-      cache_.access(addr, /*is_write=*/false);
-      cache_.access(addr, /*is_write=*/true);
-    }
-  }
-}
-
-void FftTracer::twiddle_scatter(std::uint64_t data, index_t stride, index_t n1, index_t n2,
-                                std::uint64_t scratch) {
-  // One sweep per column: unit-stride scratch reads, twiddle-table reads,
-  // strided comb writes — the fused ctddlf pass's access order.
-  const index_t n = n1 * n2;
-  const std::uint64_t eb = opts_.elem_bytes;
-  const std::uint64_t tw = opts_.include_twiddles ? twiddle_base(n) : 0;
-  for (index_t j = 0; j < n2; ++j) {
-    const std::uint64_t col = scratch + static_cast<std::uint64_t>(j) * n1 * eb;
-    const std::uint64_t dst = data + static_cast<std::uint64_t>(j) * stride * eb;
-    index_t idx = 0;
-    for (index_t i = 0; i < n1; ++i) {
-      cache_.access(col + static_cast<std::uint64_t>(i) * eb, false);
-      if (j > 0 && i > 0) {
-        idx += j;
-        if (idx >= n) idx -= n;
-        if (opts_.include_twiddles) {
-          cache_.access(tw + static_cast<std::uint64_t>(idx) * eb, false);
-        }
-      }
-      cache_.access(dst + static_cast<std::uint64_t>(i) * n2 * stride * eb, true);
-    }
-  }
-}
-
-void FftTracer::transpose_gather(std::uint64_t data, index_t stride, index_t n1, index_t n2,
-                                 std::uint64_t scratch) {
-  // Mirrors layout::transpose_gather's 16x16 tiling exactly.
-  const std::uint64_t eb = opts_.elem_bytes;
-  for (index_t jb = 0; jb < n2; jb += kTile) {
-    const index_t je = std::min(jb + kTile, n2);
-    for (index_t ib = 0; ib < n1; ib += kTile) {
-      const index_t ie = std::min(ib + kTile, n1);
-      for (index_t j = jb; j < je; ++j) {
-        const std::uint64_t dst = scratch + static_cast<std::uint64_t>(j) * n1 * eb;
-        const std::uint64_t src = data + static_cast<std::uint64_t>(j) * stride * eb;
-        for (index_t i = ib; i < ie; ++i) {
-          cache_.access(src + static_cast<std::uint64_t>(i) * n2 * stride * eb, false);
-          cache_.access(dst + static_cast<std::uint64_t>(i) * eb, true);
-        }
-      }
-    }
-  }
-}
-
-void FftTracer::transpose_scatter(std::uint64_t data, index_t stride, index_t n1, index_t n2,
-                                  std::uint64_t scratch) {
-  const std::uint64_t eb = opts_.elem_bytes;
-  for (index_t jb = 0; jb < n2; jb += kTile) {
-    const index_t je = std::min(jb + kTile, n2);
-    for (index_t ib = 0; ib < n1; ib += kTile) {
-      const index_t ie = std::min(ib + kTile, n1);
-      for (index_t j = jb; j < je; ++j) {
-        const std::uint64_t src = scratch + static_cast<std::uint64_t>(j) * n1 * eb;
-        const std::uint64_t dst = data + static_cast<std::uint64_t>(j) * stride * eb;
-        for (index_t i = ib; i < ie; ++i) {
-          cache_.access(src + static_cast<std::uint64_t>(i) * eb, false);
-          cache_.access(dst + static_cast<std::uint64_t>(i) * n2 * stride * eb, true);
-        }
-      }
-    }
-  }
-}
-
-void FftTracer::permute(std::uint64_t base, index_t stride, index_t n, index_t m,
-                        std::uint64_t scratch) {
-  // layout::stride_permute_inplace = transpose_gather(n/m, m) + linear unpack.
-  transpose_gather(base, stride, n / m, m, scratch);
-  const std::uint64_t eb = opts_.elem_bytes;
-  for (index_t k = 0; k < n; ++k) {
-    cache_.access(scratch + static_cast<std::uint64_t>(k) * eb, false);
-    cache_.access(base + static_cast<std::uint64_t>(k) * stride * eb, true);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// WhtTracer
-// ---------------------------------------------------------------------------
-
-WhtTracer::WhtTracer(cache::Cache& cache, TraceOptions opts) : cache_(cache), opts_(opts) {
-  DDL_REQUIRE(opts_.elem_bytes > 0, "element size must be positive");
-}
-
-void WhtTracer::run(const plan::Node& tree) {
-  const std::uint64_t line = cache_.config().line_bytes;
-  data_base_ = 0;
-  arena_base_ = (static_cast<std::uint64_t>(tree.n) * opts_.elem_bytes + line - 1) / line * line;
-  node(tree, data_base_, 1, arena_base_);
-}
-
-void WhtTracer::node(const plan::Node& nd, std::uint64_t base, index_t stride,
-                     std::uint64_t arena) {
-  if (nd.is_leaf()) {
-    leaf(nd.n, base, stride);
-    return;
-  }
-  const index_t n = nd.n;
-  const index_t n1 = nd.left->n;
-  const index_t n2 = nd.right->n;
-  const std::uint64_t eb = opts_.elem_bytes;
-
-  for (index_t i = 0; i < n1; ++i) {
-    node(*nd.right, base + static_cast<std::uint64_t>(i) * n2 * stride * eb, stride, arena);
-  }
-
-  if (nd.ddl) {
-    // Same tiled transpose pattern as the FFT tracer.
-    for (index_t jb = 0; jb < n2; jb += kTile) {
-      const index_t je = std::min(jb + kTile, n2);
-      for (index_t ib = 0; ib < n1; ib += kTile) {
-        const index_t ie = std::min(ib + kTile, n1);
-        for (index_t j = jb; j < je; ++j) {
-          const std::uint64_t dst = arena + static_cast<std::uint64_t>(j) * n1 * eb;
-          const std::uint64_t src = base + static_cast<std::uint64_t>(j) * stride * eb;
-          for (index_t i = ib; i < ie; ++i) {
-            cache_.access(src + static_cast<std::uint64_t>(i) * n2 * stride * eb, false);
-            cache_.access(dst + static_cast<std::uint64_t>(i) * eb, true);
-          }
-        }
-      }
-    }
-    const std::uint64_t child_arena = arena + static_cast<std::uint64_t>(n) * eb;
-    for (index_t j = 0; j < n2; ++j) {
-      node(*nd.left, arena + static_cast<std::uint64_t>(j) * n1 * eb, 1, child_arena);
-    }
-    for (index_t jb = 0; jb < n2; jb += kTile) {
-      const index_t je = std::min(jb + kTile, n2);
-      for (index_t ib = 0; ib < n1; ib += kTile) {
-        const index_t ie = std::min(ib + kTile, n1);
-        for (index_t j = jb; j < je; ++j) {
-          const std::uint64_t src = arena + static_cast<std::uint64_t>(j) * n1 * eb;
-          const std::uint64_t dst = base + static_cast<std::uint64_t>(j) * stride * eb;
-          for (index_t i = ib; i < ie; ++i) {
-            cache_.access(src + static_cast<std::uint64_t>(i) * eb, false);
-            cache_.access(dst + static_cast<std::uint64_t>(i) * n2 * stride * eb, true);
-          }
-        }
-      }
-    }
-  } else {
-    for (index_t j = 0; j < n2; ++j) {
-      node(*nd.left, base + static_cast<std::uint64_t>(j) * stride * eb, stride * n2, arena);
-    }
-  }
-}
-
-void WhtTracer::leaf(index_t n, std::uint64_t base, index_t stride) {
-  const std::uint64_t eb = opts_.elem_bytes;
-  for (index_t i = 0; i < n; ++i) {
-    cache_.access(base + static_cast<std::uint64_t>(i) * stride * eb, false);
-  }
-  for (index_t i = 0; i < n; ++i) {
-    cache_.access(base + static_cast<std::uint64_t>(i) * stride * eb, true);
-  }
-}
-
-// ---------------------------------------------------------------------------
-
-void replay_pass(const verify::cachepred::AccessPass& pass, cache::Cache& l1, cache::Cache* l2) {
-  verify::cachepred::walk_pass(pass, [&](std::uint64_t addr, bool is_write) {
-    if (!l1.access(addr, is_write) && l2 != nullptr) l2->access(addr, is_write);
-  });
-}
-
-void simulate_leaf_sweep(cache::Cache& cache, index_t n, index_t stride, index_t count,
-                         std::size_t elem_bytes) {
-  DDL_REQUIRE(n >= 1 && stride >= 1 && count >= 1, "bad leaf sweep parameters");
-  for (index_t c = 0; c < count; ++c) {
-    const std::uint64_t base = static_cast<std::uint64_t>(c) * elem_bytes;
-    for (index_t i = 0; i < n; ++i) {
-      cache.access(base + static_cast<std::uint64_t>(i) * stride * elem_bytes, false);
-    }
-    for (index_t i = 0; i < n; ++i) {
-      cache.access(base + static_cast<std::uint64_t>(i) * stride * elem_bytes, true);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Simulated cost oracle
-// ---------------------------------------------------------------------------
+namespace cp = verify::cachepred;
 
 namespace {
 
-double cost_of(const cache::Cache& cache, double miss_penalty) {
-  const auto& s = cache.stats();
-  return static_cast<double>(s.accesses) + miss_penalty * static_cast<double>(s.misses);
-}
-
-/// Leaf sweep mirroring the wall-clock probe: consecutive base offsets for
-/// strided leaves, consecutive blocks for unit-stride leaves.
-double leaf_cost_sim(const OracleOptions& opts, index_t n, index_t stride,
-                     std::size_t elem_bytes) {
-  cache::Cache cache(opts.cache);
-  const index_t count = opts.sweep_count;
-  if (stride > 1) {
-    simulate_leaf_sweep(cache, n, stride, count, elem_bytes);
-  } else {
-    for (index_t c = 0; c < count; ++c) {
-      const std::uint64_t base = static_cast<std::uint64_t>(c * n) * elem_bytes;
-      for (index_t i = 0; i < n; ++i) cache.access(base + static_cast<std::uint64_t>(i) * elem_bytes, false);
-      for (index_t i = 0; i < n; ++i) cache.access(base + static_cast<std::uint64_t>(i) * elem_bytes, true);
-    }
-  }
-  return cost_of(cache, opts.miss_penalty) / static_cast<double>(count);
-}
-
-/// Twiddle pass over the strided row layout (data at 0, table after it).
-double tw_rows_cost_sim(const OracleOptions& opts, index_t n, index_t n2, index_t stride) {
-  cache::Cache cache(opts.cache);
-  const std::uint64_t eb = sizeof(cplx);
-  const index_t n1 = n / n2;
-  const std::uint64_t tw = static_cast<std::uint64_t>(n * stride) * eb;
-  index_t idx = 0;
-  for (index_t i = 1; i < n1; ++i) {
-    const std::uint64_t row = static_cast<std::uint64_t>(i * n2 * stride) * eb;
-    idx = 0;
-    for (index_t j = 1; j < n2; ++j) {
-      idx += i;
-      if (idx >= n) idx -= n;
-      cache.access(tw + static_cast<std::uint64_t>(idx) * eb, false);
-      const std::uint64_t addr = row + static_cast<std::uint64_t>(j * stride) * eb;
-      cache.access(addr, false);
-      cache.access(addr, true);
-    }
-  }
-  return cost_of(cache, opts.miss_penalty);
-}
-
-double tw_cols_cost_sim(const OracleOptions& opts, index_t n, index_t n2) {
-  cache::Cache cache(opts.cache);
-  const std::uint64_t eb = sizeof(cplx);
-  const index_t n1 = n / n2;
-  const std::uint64_t tw = static_cast<std::uint64_t>(n) * eb;
-  for (index_t j = 1; j < n2; ++j) {
-    const std::uint64_t col = static_cast<std::uint64_t>(j * n1) * eb;
-    index_t idx = 0;
-    for (index_t i = 1; i < n1; ++i) {
-      idx += j;
-      if (idx >= n) idx -= n;
-      cache.access(tw + static_cast<std::uint64_t>(idx) * eb, false);
-      const std::uint64_t addr = col + static_cast<std::uint64_t>(i) * eb;
-      cache.access(addr, false);
-      cache.access(addr, true);
-    }
-  }
-  return cost_of(cache, opts.miss_penalty);
-}
-
-/// Blocked transpose (gather alone with passes == 1, gather + scatter pair
-/// with passes == 2) on a strided n1 x n2 node.
-double reorg_cost_sim(const OracleOptions& opts, index_t n1, index_t n2, index_t stride,
-                      std::size_t elem_bytes, int passes = 2) {
-  cache::Cache cache(opts.cache);
-  const std::uint64_t eb = elem_bytes;
-  const std::uint64_t scratch = static_cast<std::uint64_t>(n1 * n2 * stride) * eb;
-  for (int pass = 0; pass < passes; ++pass) {
-    for (index_t jb = 0; jb < n2; jb += kTile) {
-      const index_t je = std::min(jb + kTile, n2);
-      for (index_t ib = 0; ib < n1; ib += kTile) {
-        const index_t ie = std::min(ib + kTile, n1);
-        for (index_t j = jb; j < je; ++j) {
-          for (index_t i = ib; i < ie; ++i) {
-            const std::uint64_t strided =
-                static_cast<std::uint64_t>((j + i * n2) * stride) * eb;
-            const std::uint64_t packed = scratch + static_cast<std::uint64_t>(j * n1 + i) * eb;
-            cache.access(pass == 0 ? strided : packed, false);
-            cache.access(pass == 0 ? packed : strided, true);
-          }
-        }
-      }
-    }
-  }
-  return cost_of(cache, opts.miss_penalty);
-}
-
-/// Fused twiddle+scatter sweep of a ctddlf node: per column, unit-stride
-/// scratch reads, twiddle reads and strided comb writes (see
-/// FftTracer::twiddle_scatter for the executor-side mirror).
-double fused_tws_cost_sim(const OracleOptions& opts, index_t n1, index_t n2, index_t stride) {
-  cache::Cache cache(opts.cache);
-  const std::uint64_t eb = sizeof(cplx);
-  const index_t n = n1 * n2;
-  const std::uint64_t scratch = static_cast<std::uint64_t>(n * stride) * eb;
-  const std::uint64_t tw = scratch + static_cast<std::uint64_t>(n) * eb;
-  for (index_t j = 0; j < n2; ++j) {
-    const std::uint64_t col = scratch + static_cast<std::uint64_t>(j * n1) * eb;
-    const std::uint64_t dst = static_cast<std::uint64_t>(j * stride) * eb;
-    index_t idx = 0;
-    for (index_t i = 0; i < n1; ++i) {
-      cache.access(col + static_cast<std::uint64_t>(i) * eb, false);
-      if (j > 0 && i > 0) {
-        idx += j;
-        if (idx >= n) idx -= n;
-        cache.access(tw + static_cast<std::uint64_t>(idx) * eb, false);
-      }
-      cache.access(dst + static_cast<std::uint64_t>(i * n2 * stride) * eb, true);
-    }
-  }
-  return cost_of(cache, opts.miss_penalty);
-}
-
-/// Stockham autosort leaf: strided pack/unpack around log2(n) unit-stride
-/// ping-pong butterfly stages (see FftTracer::stockham_leaf).
-double stockham_cost_sim(const OracleOptions& opts, index_t n, index_t stride) {
-  cache::Cache cache(opts.cache);
-  const std::uint64_t eb = sizeof(cplx);
-  const std::uint64_t buf0 = static_cast<std::uint64_t>(n * stride) * eb;
-  const std::uint64_t buf1 = buf0 + static_cast<std::uint64_t>(n) * eb;
-  const std::uint64_t tw = buf1 + static_cast<std::uint64_t>(n) * eb;
-  std::uint64_t src = buf0;
-  std::uint64_t dst = buf1;
-  if (stride > 1) {
-    for (index_t i = 0; i < n; ++i) {
-      cache.access(static_cast<std::uint64_t>(i * stride) * eb, false);
-      cache.access(buf0 + static_cast<std::uint64_t>(i) * eb, true);
-    }
-  } else {
-    src = 0;  // unit stride runs directly on the data array
-    dst = buf0;
-  }
-  const std::uint64_t home = src;
-  index_t half = n / 2;
-  index_t s = 1;
-  index_t tstep = 1;
-  while (half >= 1) {
-    for (index_t p = 0; p < half; ++p) {
-      cache.access(tw + static_cast<std::uint64_t>(p * tstep) * eb, false);
-      for (index_t q = 0; q < s; ++q) {
-        cache.access(src + static_cast<std::uint64_t>(s * p + q) * eb, false);
-        cache.access(src + static_cast<std::uint64_t>(s * (p + half) + q) * eb, false);
-        cache.access(dst + static_cast<std::uint64_t>(2 * s * p + q) * eb, true);
-        cache.access(dst + static_cast<std::uint64_t>(s * (2 * p + 1) + q) * eb, true);
-      }
-    }
-    std::swap(src, dst);
-    half /= 2;
-    s *= 2;
-    tstep *= 2;
-  }
-  if (src != home) {
-    for (index_t i = 0; i < n; ++i) {
-      cache.access(src + static_cast<std::uint64_t>(i) * eb, false);
-      cache.access(home + static_cast<std::uint64_t>(i) * eb, true);
-    }
-  }
-  if (stride > 1) {
-    for (index_t i = 0; i < n; ++i) {
-      cache.access(buf0 + static_cast<std::uint64_t>(i) * eb, false);
-      cache.access(static_cast<std::uint64_t>(i * stride) * eb, true);
-    }
-  }
-  return cost_of(cache, opts.miss_penalty);
-}
-
-/// Stride permutation: tiled gather + linear unpack.
-double perm_cost_sim(const OracleOptions& opts, index_t n, index_t m, index_t stride) {
-  cache::Cache cache(opts.cache);
-  const std::uint64_t eb = sizeof(cplx);
-  const std::uint64_t scratch = static_cast<std::uint64_t>(n * stride) * eb;
-  const index_t rows = n / m;
-  for (index_t jb = 0; jb < m; jb += kTile) {
-    const index_t je = std::min(jb + kTile, m);
-    for (index_t ib = 0; ib < rows; ib += kTile) {
-      const index_t ie = std::min(ib + kTile, rows);
-      for (index_t j = jb; j < je; ++j) {
-        for (index_t i = ib; i < ie; ++i) {
-          cache.access(static_cast<std::uint64_t>((j + i * m) * stride) * eb, false);
-          cache.access(scratch + static_cast<std::uint64_t>(j * rows + i) * eb, true);
-        }
-      }
-    }
-  }
-  for (index_t k = 0; k < n; ++k) {
-    cache.access(scratch + static_cast<std::uint64_t>(k) * eb, false);
-    cache.access(static_cast<std::uint64_t>(k * stride) * eb, true);
-  }
-  return cost_of(cache, opts.miss_penalty);
+/// Walk the plan's passes in execution order into `cache`, in the address
+/// space enumerate_passes lays out with regions aligned to the cache line.
+void trace(const plan::Node& tree, verify::Transform transform, const TraceOptions& opts,
+           cache::Cache& cache) {
+  DDL_REQUIRE(opts.elem_bytes > 0, "element size must be positive");
+  cp::AnalyzeOptions ao;
+  ao.transform = transform;
+  ao.elem_bytes = opts.elem_bytes;
+  ao.include_twiddles = opts.include_twiddles;
+  ao.align_bytes = cache.config().line_bytes;
+  cp::walk_execution_order(cp::enumerate_passes(tree, ao), [&cache](std::uint64_t addr,
+                                                                    bool is_write) {
+    cache.access(addr, is_write);
+  });
 }
 
 }  // namespace
 
+void trace_fft(const plan::Node& tree, cache::Cache& cache, TraceOptions opts) {
+  trace(tree, verify::Transform::fft, opts, cache);
+}
+
+void trace_wht(const plan::Node& tree, cache::Cache& cache, TraceOptions opts) {
+  trace(tree, verify::Transform::wht, opts, cache);
+}
+
+void replay_pass(const cp::AccessPass& pass, cache::Cache& l1, cache::Cache* l2) {
+  // Two walks rather than one with a per-access test for l2: replay is the
+  // hot loop of the simulated oracle.
+  if (l2 == nullptr) {
+    cp::walk_pass(pass, [&l1](std::uint64_t addr, bool is_write) { l1.access(addr, is_write); });
+    return;
+  }
+  cp::walk_pass(pass, [&l1, l2](std::uint64_t addr, bool is_write) {
+    if (!l1.access(addr, is_write)) l2->access(addr, is_write);
+  });
+}
+
 std::function<double(const plan::CostKey&)> simulated_cost_oracle(OracleOptions opts) {
   return [opts](const plan::CostKey& key) -> double {
-    if (key.kind == "dft_leaf") return leaf_cost_sim(opts, key.a, key.b, sizeof(cplx));
-    if (key.kind == "wht_leaf") return leaf_cost_sim(opts, key.a, key.b, sizeof(real_t));
-    if (key.kind == "tw_rows") return tw_rows_cost_sim(opts, key.a, key.b, key.c);
-    if (key.kind == "tw_cols") return tw_cols_cost_sim(opts, key.a, key.b);
-    if (key.kind == "perm") return perm_cost_sim(opts, key.a, key.b, key.c);
-    if (key.kind == "reorg") return reorg_cost_sim(opts, key.a, key.b, key.c, sizeof(cplx));
-    if (key.kind == "reorg_g") return reorg_cost_sim(opts, key.a, key.b, key.c, sizeof(cplx), 1);
-    if (key.kind == "fused_tws") return fused_tws_cost_sim(opts, key.a, key.b, key.c);
-    if (key.kind == "stockham") return stockham_cost_sim(opts, key.a, key.b);
-    if (key.kind == "wht_reorg") return reorg_cost_sim(opts, key.a, key.b, key.c, sizeof(real_t));
-    throw std::invalid_argument("simulated_cost_oracle: unknown primitive kind '" + key.kind +
-                                "'");
+    const auto passes = cp::primitive_passes(key, opts.sweep_count);
+    if (passes.empty()) {
+      throw std::invalid_argument("simulated_cost_oracle: unknown primitive kind '" + key.kind +
+                                  "'");
+    }
+    cache::Cache cache(opts.cache);  // warm across the key's passes
+    for (const auto& pass : passes) replay_pass(pass, cache);
+    const auto& s = cache.stats();
+    const double cost =
+        static_cast<double>(s.accesses) + opts.miss_penalty * static_cast<double>(s.misses);
+    // Leaf probes average over their sweep of sub-transforms.
+    const bool leaf = key.kind == "dft_leaf" || key.kind == "wht_leaf";
+    return leaf ? cost / static_cast<double>(opts.sweep_count) : cost;
   };
 }
 

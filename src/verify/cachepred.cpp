@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -34,60 +35,6 @@ std::vector<index_t> catl(std::vector<index_t> v, std::initializer_list<index_t>
   return v;
 }
 
-/// Byte address of `r` at outer indices `idx` and inner element `e`.
-u64 ref_addr(const StreamRef& r, const std::vector<index_t>& idx, index_t e) {
-  i64 a = static_cast<i64>(r.base) + static_cast<i64>(e) * r.elem_step;
-  for (std::size_t l = 0; l < idx.size(); ++l) {
-    a += static_cast<i64>(idx[l]) * r.loop_step[l];
-  }
-  if (r.mod_n != 0) {
-    i64 mul = r.mul0;
-    i64 off = r.off0;
-    for (std::size_t l = 0; l < idx.size(); ++l) {
-      mul += static_cast<i64>(idx[l]) * r.mul_loop[l];
-      off += static_cast<i64>(idx[l]) * r.off_loop[l];
-    }
-    i64 t = (mul * static_cast<i64>(e) + off) % static_cast<i64>(r.mod_n);
-    if (t < 0) t += static_cast<i64>(r.mod_n);
-    a += t * static_cast<i64>(r.mod_scale);
-  }
-  return static_cast<u64>(a);
-}
-
-/// Walk outer-loop-0 iterations [lo, hi) of the nest (the whole pass when
-/// the pass has no outer loops and lo == 0, hi == 1).
-void walk_iters(const AccessPass& pass, index_t lo, index_t hi,
-                const std::function<void(u64, bool)>& touch) {
-  const std::size_t nl = pass.loops.size();
-  for (std::size_t l = 1; l < nl; ++l) {
-    if (pass.loops[l] <= 0) return;
-  }
-  std::vector<index_t> idx(nl, 0);
-  u64 inner = 1;
-  for (std::size_t l = 1; l < nl; ++l) inner *= static_cast<u64>(pass.loops[l]);
-  for (index_t i0 = lo; i0 < hi; ++i0) {
-    if (nl > 0) idx[0] = i0;
-    for (std::size_t l = 1; l < nl; ++l) idx[l] = 0;
-    for (u64 it = 0; it < inner; ++it) {
-      const bool first_outer = nl != 0 && idx[nl - 1] == 0;
-      for (const Sweep& sw : pass.sweeps) {
-        for (index_t e = 0; e < sw.count; ++e) {
-          for (const StreamRef& r : sw.refs) {
-            if (r.once && e != 0) continue;
-            if (r.skip_first_elem && e == 0) continue;
-            if (r.skip_first_outer && first_outer) continue;
-            touch(ref_addr(r, idx, e), r.write);
-          }
-        }
-      }
-      for (std::size_t l = nl; l-- > 1;) {
-        if (++idx[l] < pass.loops[l]) break;
-        idx[l] = 0;
-      }
-    }
-  }
-}
-
 /// Accesses one ref issues per full outer iteration of its pass.
 u64 ref_per_iter(const StreamRef& r, index_t count) {
   if (count <= 0) return 0;
@@ -95,36 +42,80 @@ u64 ref_per_iter(const StreamRef& r, index_t count) {
   return static_cast<u64>(r.skip_first_elem ? count - 1 : count);
 }
 
+/// Ancestors of the pass's node, read off its node_path: the number of
+/// leading loops that are ancestor instance loops.
+std::size_t node_depth(const AccessPass& pass) {
+  return static_cast<std::size_t>(std::count(pass.node_path.begin(), pass.node_path.end(), '.'));
+}
+
+/// End of the run of passes from `i` on (before `hi`) that belong to the
+/// same child of a node at `depth` as passes[i].
+std::size_t child_end(const std::vector<AccessPass>& passes, std::size_t i, std::size_t hi,
+                      std::size_t depth) {
+  // The child's own path: passes[i]'s path cut before its (depth + 2)-th dot.
+  const std::string& path = passes[i].node_path;
+  std::size_t cut = 0;
+  for (std::size_t dots = 0; dots < depth + 2 && cut != std::string::npos; ++dots) {
+    cut = path.find('.', cut + 1);
+  }
+  const std::string_view child(path.data(), std::min(cut, path.size()));
+  const auto inside = [&child](const std::string& p) {
+    return p.starts_with(child) && (p.size() == child.size() || p[child.size()] == '.');
+  };
+  std::size_t j = i + 1;
+  while (j < hi && inside(passes[j].node_path)) ++j;
+  return j;
+}
+
+/// Execution order of passes[lo, hi): one node's passes with the ancestors'
+/// instance indices pinned, each child's subtree instance by instance.
+void visit_subtree(const std::vector<AccessPass>& passes, std::size_t lo, std::size_t hi,
+                   std::vector<index_t>& pinned, const detail::PassVisit& visit) {
+  const std::size_t depth = pinned.size();
+  for (std::size_t i = lo; i < hi;) {
+    const AccessPass& pass = passes[i];
+    if (node_depth(pass) == depth) {
+      visit(pass, pinned, pass.loops.size() > depth ? pass.loops[depth] : 1);
+      ++i;
+      continue;
+    }
+    const std::size_t end = child_end(passes, i, hi, depth);
+    if (end == i + 1) {
+      // A codelet leaf: its one pass already walks instance by instance.
+      visit(pass, pinned, pass.loops[depth]);
+    } else {
+      for (index_t k = 0; k < pass.loops[depth]; ++k) {
+        pinned.push_back(k);
+        visit_subtree(passes, i, end, pinned, visit);
+        pinned.pop_back();
+      }
+    }
+    i = end;
+  }
+}
+
 }  // namespace
 
-void walk_pass(const AccessPass& pass, const std::function<void(u64, bool)>& touch) {
+namespace detail {
+
+void check_arity(const AccessPass& pass) {
   for (const Sweep& sw : pass.sweeps) {
     for (const StreamRef& r : sw.refs) {
-      DDL_CHECK(r.loop_step.size() == pass.loops.size(), "ref/loop arity mismatch");
-      DDL_CHECK(r.mod_n == 0 || (r.mul_loop.size() == pass.loops.size() &&
-                                 r.off_loop.size() == pass.loops.size()),
-                "modular ref/loop arity mismatch");
+      DDL_REQUIRE(r.loop_step.size() == pass.loops.size(), "ref/loop arity mismatch");
+      DDL_REQUIRE(r.mod_n == 0 || (r.mul_loop.size() == pass.loops.size() &&
+                                   r.off_loop.size() == pass.loops.size()),
+                  "modular ref/loop arity mismatch");
     }
   }
-  walk_iters(pass, 0, pass.loops.empty() ? 1 : pass.loops[0], touch);
 }
 
-std::uint64_t AccessPass::accesses() const {
-  u64 outer = 1;
-  for (index_t c : loops) outer *= static_cast<u64>(std::max<index_t>(c, 0));
-  u64 total = 0;
-  for (const Sweep& sw : sweeps) {
-    for (const StreamRef& r : sw.refs) {
-      u64 iters = outer;
-      if (r.skip_first_outer && !loops.empty()) {
-        const index_t last = loops.back();
-        if (last > 0) iters = iters / static_cast<u64>(last) * static_cast<u64>(last - 1);
-      }
-      total += iters * ref_per_iter(r, sw.count);
-    }
-  }
-  return total;
+void for_each_visit(const std::vector<AccessPass>& passes, const PassVisit& visit) {
+  for (const AccessPass& pass : passes) check_arity(pass);
+  std::vector<index_t> pinned;
+  visit_subtree(passes, 0, passes.size(), pinned, visit);
 }
+
+}  // namespace detail
 
 std::uint64_t AccessPass::bytes_touched() const {
   u64 outer = 1;
@@ -144,36 +135,16 @@ std::uint64_t AccessPass::bytes_touched() const {
 }
 
 // ---------------------------------------------------------------------------
-// Pass enumeration — mirrors sim::FftTracer / sim::WhtTracer structurally:
-// same recursion, same synthetic address space (data at 0, line-aligned
-// scratch arena, twiddle regions in first-use order), but stage-major: each
-// stage becomes ONE pass whose outer loops carry the instance dimension.
+// Stage builders: the one description of where each executor stage reads
+// and writes. enumerate_passes recurses over a plan with them, stage-major:
+// each stage becomes ONE pass whose leading loops carry the ancestors'
+// instance dimensions. primitive_passes calls them for one DP cost key.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 class Emitter {
  public:
-  Emitter(std::size_t eb, bool tw_on, u64 align) : eb_(eb), tw_on_(tw_on), align_(align) {
-    DDL_REQUIRE(eb_ > 0, "element size must be positive");
-    DDL_REQUIRE(align_ > 0, "alignment must be positive");
-  }
-
-  std::vector<AccessPass> run(const plan::Node& tree, Transform kind) {
-    const u64 n_bytes = static_cast<u64>(tree.n) * eb_;
-    arena0_ = aligned(n_bytes);
-    next_region_ = aligned(arena0_ + 2 * n_bytes);
-    tw_regions_.clear();
-    out_.clear();
-    if (kind == Transform::fft) {
-      fft_node(tree, "root", Ctx{}, 0, 1, arena0_);
-    } else {
-      wht_node(tree, "root", Ctx{}, 0, 1, arena0_);
-    }
-    return std::move(out_);
-  }
-
- private:
   /// Outer context: ancestor instance-loop counts plus the byte step each
   /// applies to the node's data base. Scratch and twiddle regions never
   /// shift with instance loops, so their refs use a zero prefix instead.
@@ -182,99 +153,28 @@ class Emitter {
     std::vector<i64> bsteps;
   };
 
-  /// One side of a transpose: addr = base + j*jstep + i*istep, with `pre`
-  /// the outer-context steps of `base`.
-  struct Tri {
-    u64 base;
-    std::vector<i64> pre;
-    i64 jstep;
-    i64 istep;
-  };
-
-  u64 aligned(u64 a) const { return (a + align_ - 1) / align_ * align_; }
-
-  u64 tw_base(index_t n) {
-    auto it = tw_regions_.find(n);
-    if (it != tw_regions_.end()) return it->second;
-    const u64 base = next_region_;
-    next_region_ = aligned(base + static_cast<u64>(n) * eb_);
-    tw_regions_.emplace(n, base);
-    return base;
+  /// `eb`-byte elements; twiddle regions are laid out from `tw_from` on,
+  /// each aligned to `align` bytes.
+  Emitter(std::size_t eb, bool tw_on, u64 tw_from, u64 align)
+      : eb_(eb), tw_on_(tw_on), align_(align), next_region_(tw_from) {
+    DDL_REQUIRE(eb_ > 0, "element size must be positive");
+    DDL_REQUIRE(align_ > 0, "alignment must be positive");
   }
 
-  StreamRef ref(bool write, u64 base, std::vector<i64> steps, i64 estep) {
-    StreamRef r;
-    r.write = write;
-    r.base = base;
-    r.loop_step = std::move(steps);
-    r.elem_step = estep;
-    r.width = static_cast<std::uint32_t>(eb_);
-    return r;
-  }
+  std::vector<AccessPass> take() { return std::move(out_); }
 
-  /// Twiddle-table ref: table index (mul0 + c*mul_last)*e + off0 + c*off_last
-  /// (mod n), where c is the pass's last outer loop and e the inner element.
-  StreamRef twref(u64 base, std::size_t nloops, index_t n, i64 mul0, i64 mul_last, i64 off0,
-                  i64 off_last) {
-    StreamRef r = ref(false, base, zvec(nloops), 0);
-    r.mod_n = static_cast<u64>(n);
-    r.mod_scale = eb_;
-    r.mul0 = mul0;
-    r.off0 = off0;
-    r.mul_loop = zvec(nloops);
-    r.off_loop = zvec(nloops);
-    if (nloops > 0) {
-      r.mul_loop.back() = mul_last;
-      r.off_loop.back() = off_last;
-    }
-    return r;
-  }
-
-  void push(const std::string& path, std::string op, const Ctx& c,
-            std::initializer_list<index_t> local, std::vector<Sweep> sweeps, bool exact = true) {
-    AccessPass p;
-    p.node_path = path;
-    p.op = std::move(op);
-    p.loops = catl(c.loops, local);
-    p.sweeps = std::move(sweeps);
-    p.exact_order = exact;
-    out_.push_back(std::move(p));
-  }
-
-  /// Tiled transpose pass (kTile x kTile blocks, as layout/reorg.cpp).
-  /// Uniform tiling exists iff both extents are <= kTile or multiples of it
-  /// (always, for the power-of-two sizes the planners emit); otherwise the
-  /// ragged edge is flattened to column-major order (same accesses,
-  /// approximate order — flagged via exact_order).
-  void transpose(const std::string& path, const char* op, const Ctx& c, index_t nr, index_t nc,
-                 const Tri& rd, const Tri& wr) {
-    const index_t jt = std::min<index_t>(kTile, nc);
-    const index_t it = std::min<index_t>(kTile, nr);
-    const bool uniform = nc % jt == 0 && nr % it == 0;
-    Sweep sw;
-    if (uniform) {
-      sw.count = it;
-      sw.refs = {ref(false, rd.base, cat(rd.pre, {jt * rd.jstep, it * rd.istep, rd.jstep}),
-                     rd.istep),
-                 ref(true, wr.base, cat(wr.pre, {jt * wr.jstep, it * wr.istep, wr.jstep}),
-                     wr.istep)};
-      push(path, op, c, {nc / jt, nr / it, jt}, {std::move(sw)});
-    } else {
-      sw.count = nr;
-      sw.refs = {ref(false, rd.base, cat(rd.pre, {rd.jstep}), rd.istep),
-                 ref(true, wr.base, cat(wr.pre, {wr.jstep}), wr.istep)};
-      push(path, op, c, {nc}, {std::move(sw)}, /*exact=*/false);
-    }
-  }
-
-  void leaf(index_t n, const std::string& path, const Ctx& c, u64 b, index_t s) {
+  /// Codelet leaf: every point read, then every point written.
+  void leaf(const std::string& path, const Ctx& c, index_t n, u64 b, index_t s) {
     const i64 se = static_cast<i64>(s) * static_cast<i64>(eb_);
     Sweep rd{n, {ref(false, b, c.bsteps, se)}};
     Sweep wr{n, {ref(true, b, c.bsteps, se)}};
     push(path, "leaf sweep", c, {}, {std::move(rd), std::move(wr)});
   }
 
-  void stockham(index_t n, const std::string& path, const Ctx& c, u64 b, index_t s, u64 arena) {
+  /// Stockham autosort leaf (FftExecutor::run_stockham): strided leaves pack
+  /// into the arena and ping-pong within it; unit-stride leaves ping-pong
+  /// between the data and the arena.
+  void stockham(const std::string& path, const Ctx& c, index_t n, u64 b, index_t s, u64 arena) {
     const i64 eb = static_cast<i64>(eb_);
     const i64 se = static_cast<i64>(s) * eb;
     const u64 tw = tw_on_ ? tw_base(n) : 0;
@@ -331,13 +231,87 @@ class Emitter {
     }
   }
 
+  /// DDL gather of an n1 x n2 node at stride s into the packed arena.
+  void reorg_gather(const std::string& path, const Ctx& c, index_t n1, index_t n2, u64 b,
+                    index_t s, u64 arena) {
+    transpose(path, "reorg gather", c, n1, n2, strided(c, n2, b, s), packed(c, n1, arena));
+  }
+
+  /// DDL scatter back from the packed arena.
+  void reorg_scatter(const std::string& path, const Ctx& c, index_t n1, index_t n2, u64 b,
+                     index_t s, u64 arena) {
+    transpose(path, "reorg scatter", c, n1, n2, packed(c, n1, arena), strided(c, n2, b, s));
+  }
+
+  /// SDL twiddle pass: row i >= 1, column j >= 1 scaled by w^(i*j).
+  void twiddle_rows(const std::string& path, const Ctx& c, index_t n, index_t n2, u64 b,
+                    index_t s) {
+    const i64 se = static_cast<i64>(s) * static_cast<i64>(eb_);
+    const u64 tw = tw_on_ ? tw_base(n) : 0;
+    Sweep sw;
+    sw.count = n2 - 1;
+    if (tw_on_) sw.refs.push_back(twref(tw, c.loops.size() + 1, n, 1, 1, 1, 1));
+    const u64 row0 = b + static_cast<u64>(n2 + 1) * static_cast<u64>(s) * eb_;
+    sw.refs.push_back(ref(false, row0, cat(c.bsteps, {static_cast<i64>(n2) * se}), se));
+    sw.refs.push_back(ref(true, row0, cat(c.bsteps, {static_cast<i64>(n2) * se}), se));
+    push(path, "twiddle rows", c, {n / n2 - 1}, {std::move(sw)});
+  }
+
+  /// Two-pass DDL twiddle pass over the packed columns in the arena.
+  void twiddle_cols(const std::string& path, const Ctx& c, index_t n, index_t n2, u64 arena) {
+    const i64 eb = static_cast<i64>(eb_);
+    const index_t n1 = n / n2;
+    const u64 tw = tw_on_ ? tw_base(n) : 0;
+    const std::vector<i64> z = zvec(c.loops.size());
+    Sweep sw;
+    sw.count = n1 - 1;
+    if (tw_on_) sw.refs.push_back(twref(tw, c.loops.size() + 1, n, 1, 1, 1, 1));
+    const u64 col0 = arena + static_cast<u64>(n1) * eb_ + eb_;
+    sw.refs.push_back(ref(false, col0, cat(z, {static_cast<i64>(n1) * eb}), eb));
+    sw.refs.push_back(ref(true, col0, cat(z, {static_cast<i64>(n1) * eb}), eb));
+    push(path, "twiddle columns (scratch)", c, {n2 - 1}, {std::move(sw)});
+  }
+
+  /// Fused ctddlf sweep, one per column: unit-stride arena reads,
+  /// twiddle-table reads, strided comb writes.
+  void twiddle_scatter(const std::string& path, const Ctx& c, index_t n1, index_t n2, u64 b,
+                       index_t s, u64 arena) {
+    const i64 eb = static_cast<i64>(eb_);
+    const i64 se = static_cast<i64>(s) * eb;
+    const index_t n = n1 * n2;
+    const u64 tw = tw_on_ ? tw_base(n) : 0;
+    Sweep sw;
+    sw.count = n1;
+    sw.refs.push_back(ref(false, arena, cat(zvec(c.loops.size()), {n1 * eb}), eb));
+    if (tw_on_) {
+      StreamRef t = twref(tw, c.loops.size() + 1, n, 0, 1, 0, 0);
+      t.skip_first_outer = true;  // column 0 and element 0 carry W^0
+      t.skip_first_elem = true;
+      sw.refs.push_back(std::move(t));
+    }
+    sw.refs.push_back(ref(true, b, cat(c.bsteps, {se}), static_cast<i64>(n2) * se));
+    push(path, "twiddle scatter (fused)", c, {n2}, {std::move(sw)});
+  }
+
+  /// Closing stride permutation L^n_{n2}: tiled gather into the arena, then
+  /// a linear unpack (layout::stride_permute_inplace).
+  void permute(const std::string& path, const Ctx& c, index_t n, index_t n2, u64 b, index_t s,
+               u64 arena) {
+    const i64 eb = static_cast<i64>(eb_);
+    transpose(path, "permute gather (scratch)", c, n / n2, n2, strided(c, n2, b, s),
+              packed(c, n / n2, arena));
+    Sweep un{n, {ref(false, arena, zvec(c.loops.size()), eb),
+                 ref(true, b, c.bsteps, static_cast<i64>(s) * eb)}};
+    push(path, "permute unpack", c, {}, {std::move(un)});
+  }
+
   void fft_node(const plan::Node& nd, const std::string& path, const Ctx& c, u64 b, index_t s,
                 u64 arena) {
     if (nd.is_leaf()) {
       if (nd.stockham) {
-        stockham(nd.n, path, c, b, s, arena);
+        stockham(path, c, nd.n, b, s, arena);
       } else {
-        leaf(nd.n, path, c, b, s);
+        leaf(path, c, nd.n, b, s);
       }
       return;
     }
@@ -346,71 +320,29 @@ class Emitter {
     const index_t n2 = nd.right->n;
     const i64 eb = static_cast<i64>(eb_);
     const i64 se = static_cast<i64>(s) * eb;
-    const std::vector<i64> z = zvec(c.loops.size());
-
     if (nd.ddl) {
-      transpose(path, "reorg gather", c, n1, n2, Tri{b, c.bsteps, se, static_cast<i64>(n2) * se},
-                Tri{arena, z, static_cast<i64>(n1) * eb, eb});
-      Ctx cl{catl(c.loops, {n2}), cat(z, {static_cast<i64>(n1) * eb})};
-      fft_node(*nd.left, path + ".L", cl, arena, 1, arena + static_cast<u64>(n) * eb_);
+      reorg_gather(path, c, n1, n2, b, s, arena);
+      fft_node(*nd.left, path + ".L", inner(c, n2, zvec(c.loops.size()), n1 * eb), arena, 1,
+               arena + static_cast<u64>(n) * eb_);
       if (nd.fused) {
-        const u64 tw = tw_on_ ? tw_base(n) : 0;
-        Sweep sw;
-        sw.count = n1;
-        sw.refs.push_back(ref(false, arena, cat(z, {static_cast<i64>(n1) * eb}), eb));
-        if (tw_on_) {
-          StreamRef t = twref(tw, c.loops.size() + 1, n, 0, 1, 0, 0);
-          t.skip_first_outer = true;  // column 0 and element 0 carry W^0
-          t.skip_first_elem = true;
-          sw.refs.push_back(std::move(t));
-        }
-        sw.refs.push_back(ref(true, b, cat(c.bsteps, {se}), static_cast<i64>(n2) * se));
-        push(path, "twiddle scatter (fused)", c, {n2}, {std::move(sw)});
+        twiddle_scatter(path, c, n1, n2, b, s, arena);
       } else {
-        const u64 tw = tw_on_ ? tw_base(n) : 0;
-        Sweep sw;
-        sw.count = n1 - 1;
-        if (tw_on_) {
-          sw.refs.push_back(twref(tw, c.loops.size() + 1, n, 1, 1, 1, 1));
-        }
-        const u64 col0 = arena + static_cast<u64>(n1) * eb_ + eb_;
-        sw.refs.push_back(ref(false, col0, cat(z, {static_cast<i64>(n1) * eb}), eb));
-        sw.refs.push_back(ref(true, col0, cat(z, {static_cast<i64>(n1) * eb}), eb));
-        push(path, "twiddle columns (scratch)", c, {n2 - 1}, {std::move(sw)});
-        transpose(path, "reorg scatter", c, n1, n2,
-                  Tri{arena, z, static_cast<i64>(n1) * eb, eb},
-                  Tri{b, c.bsteps, se, static_cast<i64>(n2) * se});
+        twiddle_cols(path, c, n, n2, arena);
+        reorg_scatter(path, c, n1, n2, b, s, arena);
       }
     } else {
-      Ctx cl{catl(c.loops, {n2}), cat(c.bsteps, {se})};
-      fft_node(*nd.left, path + ".L", cl, b, s * n2, arena);
-      const u64 tw = tw_on_ ? tw_base(n) : 0;
-      Sweep sw;
-      sw.count = n2 - 1;
-      if (tw_on_) {
-        sw.refs.push_back(twref(tw, c.loops.size() + 1, n, 1, 1, 1, 1));
-      }
-      const u64 row0 = b + static_cast<u64>(n2 + 1) * static_cast<u64>(s) * eb_;
-      sw.refs.push_back(ref(false, row0, cat(c.bsteps, {static_cast<i64>(n2) * se}), se));
-      sw.refs.push_back(ref(true, row0, cat(c.bsteps, {static_cast<i64>(n2) * se}), se));
-      push(path, "twiddle rows", c, {n1 - 1}, {std::move(sw)});
+      fft_node(*nd.left, path + ".L", inner(c, n2, c.bsteps, se), b, s * n2, arena);
+      twiddle_rows(path, c, n, n2, b, s);
     }
-
-    Ctx cr{catl(c.loops, {n1}), cat(c.bsteps, {static_cast<i64>(n2) * se})};
-    fft_node(*nd.right, path + ".R", cr, b, s, arena);
-
-    // Closing stride permutation: tiled gather into scratch + linear unpack.
-    transpose(path, "permute gather (scratch)", c, n / n2, n2,
-              Tri{b, c.bsteps, se, static_cast<i64>(n2) * se},
-              Tri{arena, z, static_cast<i64>(n / n2) * eb, eb});
-    Sweep un{n, {ref(false, arena, z, eb), ref(true, b, c.bsteps, se)}};
-    push(path, "permute unpack", c, {}, {std::move(un)});
+    fft_node(*nd.right, path + ".R", inner(c, n1, c.bsteps, n2 * se), b, s, arena);
+    permute(path, c, n, n2, b, s, arena);
   }
 
+  /// The WHT executor: right rows first, no twiddles, no permutation.
   void wht_node(const plan::Node& nd, const std::string& path, const Ctx& c, u64 b, index_t s,
                 u64 arena) {
     if (nd.is_leaf()) {
-      leaf(nd.n, path, c, b, s);
+      leaf(path, c, nd.n, b, s);
       return;
     }
     const index_t n = nd.n;
@@ -418,30 +350,136 @@ class Emitter {
     const index_t n2 = nd.right->n;
     const i64 eb = static_cast<i64>(eb_);
     const i64 se = static_cast<i64>(s) * eb;
-    const std::vector<i64> z = zvec(c.loops.size());
-
-    // The WHT executor runs its right rows first.
-    Ctx cr{catl(c.loops, {n1}), cat(c.bsteps, {static_cast<i64>(n2) * se})};
-    wht_node(*nd.right, path + ".R", cr, b, s, arena);
-
+    wht_node(*nd.right, path + ".R", inner(c, n1, c.bsteps, n2 * se), b, s, arena);
     if (nd.ddl) {
-      transpose(path, "reorg gather", c, n1, n2, Tri{b, c.bsteps, se, static_cast<i64>(n2) * se},
-                Tri{arena, z, static_cast<i64>(n1) * eb, eb});
-      Ctx cl{catl(c.loops, {n2}), cat(z, {static_cast<i64>(n1) * eb})};
-      wht_node(*nd.left, path + ".L", cl, arena, 1, arena + static_cast<u64>(n) * eb_);
-      transpose(path, "reorg scatter", c, n1, n2, Tri{arena, z, static_cast<i64>(n1) * eb, eb},
-                Tri{b, c.bsteps, se, static_cast<i64>(n2) * se});
+      reorg_gather(path, c, n1, n2, b, s, arena);
+      wht_node(*nd.left, path + ".L", inner(c, n2, zvec(c.loops.size()), n1 * eb), arena, 1,
+               arena + static_cast<u64>(n) * eb_);
+      reorg_scatter(path, c, n1, n2, b, s, arena);
     } else {
-      Ctx cl{catl(c.loops, {n2}), cat(c.bsteps, {se})};
-      wht_node(*nd.left, path + ".L", cl, b, s * n2, arena);
+      wht_node(*nd.left, path + ".L", inner(c, n2, c.bsteps, se), b, s * n2, arena);
     }
+  }
+
+ private:
+  /// One side of a transpose: addr = base + j*jstep + i*istep, with `pre`
+  /// the outer-context steps of `base`.
+  struct Tri {
+    u64 base;
+    std::vector<i64> pre;
+    i64 jstep;
+    i64 istep;
+  };
+
+  /// Context of `count` child instances, each `step` bytes past the last;
+  /// `pre` are the ancestor steps of the child's base.
+  static Ctx inner(const Ctx& c, index_t count, std::vector<i64> pre, i64 step) {
+    return {catl(c.loops, {count}), cat(std::move(pre), {step})};
+  }
+
+  /// The strided side of an r x n2 transpose: element (i, j) at b + (i*n2 + j)*s.
+  Tri strided(const Ctx& c, index_t n2, u64 b, index_t s) const {
+    const i64 se = static_cast<i64>(s) * static_cast<i64>(eb_);
+    return {b, c.bsteps, se, static_cast<i64>(n2) * se};
+  }
+
+  /// The packed side: column j of `rows` elements at arena + j*rows.
+  Tri packed(const Ctx& c, index_t rows, u64 arena) const {
+    const i64 eb = static_cast<i64>(eb_);
+    return {arena, zvec(c.loops.size()), static_cast<i64>(rows) * eb, eb};
+  }
+
+  u64 aligned(u64 a) const { return (a + align_ - 1) / align_ * align_; }
+
+  u64 tw_base(index_t n) {
+    auto it = tw_regions_.find(n);
+    if (it != tw_regions_.end()) return it->second;
+    const u64 base = next_region_;
+    next_region_ = aligned(base + static_cast<u64>(n) * eb_);
+    tw_regions_.emplace(n, base);
+    return base;
+  }
+
+  StreamRef ref(bool write, u64 base, std::vector<i64> steps, i64 estep) const {
+    StreamRef r;
+    r.write = write;
+    r.base = base;
+    r.loop_step = std::move(steps);
+    r.elem_step = estep;
+    r.width = static_cast<std::uint32_t>(eb_);
+    return r;
+  }
+
+  /// Twiddle-table ref: table index (mul0 + c*mul_last)*e + off0 + c*off_last
+  /// (mod n), where c is the pass's last outer loop and e the inner element.
+  StreamRef twref(u64 base, std::size_t nloops, index_t n, i64 mul0, i64 mul_last, i64 off0,
+                  i64 off_last) const {
+    StreamRef r = ref(false, base, zvec(nloops), 0);
+    r.mod_n = static_cast<u64>(n);
+    r.mod_scale = eb_;
+    r.mul0 = mul0;
+    r.off0 = off0;
+    r.mul_loop = zvec(nloops);
+    r.off_loop = zvec(nloops);
+    if (nloops > 0) {
+      r.mul_loop.back() = mul_last;
+      r.off_loop.back() = off_last;
+    }
+    return r;
+  }
+
+  void push(const std::string& path, std::string op, const Ctx& c,
+            std::initializer_list<index_t> local, std::vector<Sweep> sweeps) {
+    AccessPass p;
+    p.node_path = path;
+    p.op = std::move(op);
+    p.loops = catl(c.loops, local);
+    p.sweeps = std::move(sweeps);
+    out_.push_back(std::move(p));
+  }
+
+  /// Tiled transpose of an nr x nc matrix in layout/reorg.cpp's order:
+  /// kTile-column blocks, within each the kTile-row blocks, within each
+  /// tile column by column. A uniform tiling (both extents <= kTile or
+  /// multiples of it, as at every power-of-two size) is one pass. A ragged
+  /// one is at most two: the full-width column blocks, then the narrow last
+  /// block, each tile column of a block one sweep.
+  void transpose(const std::string& path, const char* op, const Ctx& c, index_t nr, index_t nc,
+                 const Tri& rd, const Tri& wr) {
+    const index_t jt = std::min<index_t>(kTile, nc);
+    const index_t it = std::min<index_t>(kTile, nr);
+    if (nc % jt == 0 && nr % it == 0) {
+      Sweep sw;
+      sw.count = it;
+      sw.refs = {ref(false, rd.base, cat(rd.pre, {jt * rd.jstep, it * rd.istep, rd.jstep}),
+                     rd.istep),
+                 ref(true, wr.base, cat(wr.pre, {jt * wr.jstep, it * wr.istep, wr.jstep}),
+                     wr.istep)};
+      push(path, op, c, {nc / jt, nr / it, jt}, {std::move(sw)});
+      return;
+    }
+    const auto blocks = [&](index_t j0, index_t width, index_t count) {
+      const auto at = [](const Tri& t, index_t j, index_t i) {
+        return static_cast<u64>(static_cast<i64>(t.base) + j * t.jstep + i * t.istep);
+      };
+      std::vector<Sweep> sweeps;
+      for (index_t ib = 0; ib < nr; ib += it) {
+        for (index_t j = j0; j < j0 + width; ++j) {
+          sweeps.push_back({std::min(it, nr - ib),
+                            {ref(false, at(rd, j, ib), cat(rd.pre, {width * rd.jstep}), rd.istep),
+                             ref(true, at(wr, j, ib), cat(wr.pre, {width * wr.jstep}), wr.istep)}});
+        }
+      }
+      push(path, op, c, {count}, std::move(sweeps));
+    };
+    blocks(0, jt, nc / jt);
+    if (nc % jt != 0) blocks(nc - nc % jt, nc % jt, 1);
   }
 
   std::size_t eb_;
   bool tw_on_;
   u64 align_;
-  u64 arena0_ = 0;
-  u64 next_region_ = 0;
+  u64 next_region_;
   std::map<index_t, u64> tw_regions_;
   std::vector<AccessPass> out_;
 };
@@ -453,8 +491,18 @@ std::vector<AccessPass> enumerate_passes(const plan::Node& tree, const AnalyzeOp
       opts.elem_bytes != 0 ? opts.elem_bytes
                            : (opts.transform == Transform::fft ? sizeof(cplx) : sizeof(real_t));
   const bool tw_on = opts.include_twiddles && opts.transform == Transform::fft;
-  Emitter em(eb, tw_on, opts.align_bytes);
-  return em.run(tree, opts.transform);
+  DDL_REQUIRE(opts.align_bytes > 0, "alignment must be positive");
+  const u64 align = opts.align_bytes;
+  const auto aligned = [align](u64 a) { return (a + align - 1) / align * align; };
+  const u64 n_bytes = static_cast<u64>(tree.n) * eb;
+  const u64 arena = aligned(n_bytes);
+  Emitter em(eb, tw_on, aligned(arena + 2 * n_bytes), align);
+  if (opts.transform == Transform::fft) {
+    em.fft_node(tree, "root", {}, 0, 1, arena);
+  } else {
+    em.wht_node(tree, "root", {}, 0, 1, arena);
+  }
+  return em.take();
 }
 
 // ---------------------------------------------------------------------------
@@ -835,14 +883,7 @@ bool state_shifted(const LevelSim::State& prev, const LevelSim::State& cur,
 
 PassPrediction predict_pass(const AccessPass& pass, const cache::CacheConfig& l1,
                             const cache::CacheConfig* l2, bool enable_closure) {
-  for (const Sweep& sw : pass.sweeps) {
-    for (const StreamRef& r : sw.refs) {
-      DDL_REQUIRE(r.loop_step.size() == pass.loops.size(), "ref/loop arity mismatch");
-      DDL_REQUIRE(r.mod_n == 0 || (r.mul_loop.size() == pass.loops.size() &&
-                                   r.off_loop.size() == pass.loops.size()),
-                  "modular ref/loop arity mismatch");
-    }
-  }
+  detail::check_arity(pass);
   LevelSim sim1(l1);
   std::unique_ptr<LevelSim> sim2;
   if (l2 != nullptr) sim2 = std::make_unique<LevelSim>(*l2);
@@ -856,6 +897,7 @@ PassPrediction predict_pass(const AccessPass& pass, const cache::CacheConfig& l1
   if (c0 <= 0) return out;
 
   const ClosurePlan cp = enable_closure ? closure_plan(pass, l1, l2) : ClosurePlan{};
+  detail::WalkScratch ws;
   index_t walked = 0;  // plain loop0 iterations consumed
   if (cp.ok) {
     const u64 gran = std::min<u64>(l1.line_bytes, l2 != nullptr ? l2->line_bytes : l1.line_bytes);
@@ -874,11 +916,12 @@ PassPrediction predict_pass(const AccessPass& pass, const cache::CacheConfig& l1
       plain1.clear();
       plain2.clear();
       LevelPrediction p1 = b1, p2 = b2;
+      auto record = [&](u64 addr, bool w) {
+        touched_now.insert(addr / gran);
+        touch(addr, w);
+      };
       for (index_t i = 0; i < cp.block; ++i) {
-        walk_iters(pass, t * cp.block + i, t * cp.block + i + 1, [&](u64 addr, bool w) {
-          touched_now.insert(addr / gran);
-          touch(addr, w);
-        });
+        detail::walk_nest(pass, {}, t * cp.block + i, t * cp.block + i + 1, record, ws);
         plain1.push_back(diff(sim1.st, p1));
         plain2.push_back(diff(sim2 ? sim2->st : LevelPrediction{}, p2));
         p1 = sim1.st;
@@ -928,7 +971,7 @@ PassPrediction predict_pass(const AccessPass& pass, const cache::CacheConfig& l1
     }
   }
   if (walked < c0) {
-    walk_iters(pass, walked, c0, touch);
+    detail::walk_nest(pass, {}, walked, c0, touch, ws);
   }
   out.l1 = sim1.st;
   if (sim2) out.l2 = sim2->st;
@@ -994,202 +1037,63 @@ CacheReport analyze_plan(const plan::Node& tree, const AnalyzeOptions& opts) {
 // Planning oracle: per-CostKey passes, fitted time model
 // ---------------------------------------------------------------------------
 
-namespace {
-
-constexpr std::size_t kCplx = sizeof(cplx);
-constexpr std::size_t kReal = sizeof(real_t);
-
-StreamRef prim_ref(bool write, u64 base, std::vector<i64> steps, i64 estep, std::size_t width) {
-  StreamRef r;
-  r.write = write;
-  r.base = base;
-  r.loop_step = std::move(steps);
-  r.elem_step = estep;
-  r.width = static_cast<std::uint32_t>(width);
-  return r;
-}
-
-AccessPass prim_pass(const char* op, std::vector<index_t> loops, std::vector<Sweep> sweeps) {
-  AccessPass p;
-  p.node_path = "primitive";
-  p.op = op;
-  p.loops = std::move(loops);
-  p.sweeps = std::move(sweeps);
-  return p;
-}
-
-/// Probe-shaped leaf sweep: `count` successive sub-transforms, consecutive
-/// base offsets when strided, consecutive blocks at unit stride (mirrors
-/// sim::simulate_leaf_sweep / leaf_cost_sim).
-std::vector<AccessPass> leaf_prim(index_t n, index_t s, index_t count, std::size_t eb) {
-  const i64 ebi = static_cast<i64>(eb);
-  const i64 bstep = s > 1 ? ebi : static_cast<i64>(n) * ebi;
-  const i64 estep = static_cast<i64>(s > 1 ? s : 1) * ebi;
-  Sweep rd{n, {prim_ref(false, 0, {bstep}, estep, eb)}};
-  Sweep wr{n, {prim_ref(true, 0, {bstep}, estep, eb)}};
-  return {prim_pass("leaf sweep", {count}, {std::move(rd), std::move(wr)})};
-}
-
-StreamRef prim_twref(u64 base, index_t n, i64 mul0, i64 mul1, i64 off0, i64 off1,
-                     std::size_t eb) {
-  StreamRef r = prim_ref(false, base, {0}, 0, eb);
-  r.mod_n = static_cast<u64>(n);
-  r.mod_scale = eb;
-  r.mul0 = mul0;
-  r.off0 = off0;
-  r.mul_loop = {mul1};
-  r.off_loop = {off1};
-  return r;
-}
-
-/// Tiled transpose at fixed addresses (mirrors sim reorg_cost_sim /
-/// perm_cost_sim tiling: kTile x kTile blocks, ragged edge flattened).
-AccessPass prim_transpose(const char* op, index_t nr, index_t nc, u64 rd_base, i64 rd_j,
-                          i64 rd_i, u64 wr_base, i64 wr_j, i64 wr_i, std::size_t eb) {
-  const index_t jt = std::min<index_t>(kTile, nc);
-  const index_t it = std::min<index_t>(kTile, nr);
-  Sweep sw;
-  if (nc % jt == 0 && nr % it == 0) {
-    sw.count = it;
-    sw.refs = {prim_ref(false, rd_base, {jt * rd_j, it * rd_i, rd_j}, rd_i, eb),
-               prim_ref(true, wr_base, {jt * wr_j, it * wr_i, wr_j}, wr_i, eb)};
-    return prim_pass(op, {nc / jt, nr / it, jt}, {std::move(sw)});
-  }
-  sw.count = nr;
-  sw.refs = {prim_ref(false, rd_base, {rd_j}, rd_i, eb),
-             prim_ref(true, wr_base, {wr_j}, wr_i, eb)};
-  AccessPass p = prim_pass(op, {nc}, {std::move(sw)});
-  p.exact_order = false;
-  return p;
-}
-
-std::vector<AccessPass> stockham_prim(index_t n, index_t s) {
-  const i64 eb = static_cast<i64>(kCplx);
-  const u64 buf0 = static_cast<u64>(n) * static_cast<u64>(s) * kCplx;
-  const u64 buf1 = buf0 + static_cast<u64>(n) * kCplx;
-  const u64 tw = buf1 + static_cast<u64>(n) * kCplx;
-  std::vector<AccessPass> out;
-  u64 src = buf0;
-  u64 dst = buf1;
-  if (s > 1) {
-    Sweep pack{n, {prim_ref(false, 0, {}, static_cast<i64>(s) * eb, kCplx),
-                   prim_ref(true, buf0, {}, eb, kCplx)}};
-    out.push_back(prim_pass("stockham pack", {}, {std::move(pack)}));
-  } else {
-    src = 0;
-    dst = buf0;
-  }
-  const u64 home = src;
-  index_t half = n / 2;
-  index_t sb = 1;
-  index_t tstep = 1;
-  while (half >= 1) {
-    Sweep sw;
-    sw.count = sb;
-    StreamRef t = prim_ref(false, tw, {tstep * eb}, 0, kCplx);
-    t.once = true;
-    sw.refs.push_back(std::move(t));
-    sw.refs.push_back(prim_ref(false, src, {sb * eb}, eb, kCplx));
-    sw.refs.push_back(prim_ref(
-        false, src + static_cast<u64>(sb) * static_cast<u64>(half) * kCplx, {sb * eb}, eb, kCplx));
-    sw.refs.push_back(prim_ref(true, dst, {2 * sb * eb}, eb, kCplx));
-    sw.refs.push_back(prim_ref(true, dst + static_cast<u64>(sb) * kCplx, {2 * sb * eb}, eb, kCplx));
-    out.push_back(prim_pass("stockham stage", {half}, {std::move(sw)}));
-    std::swap(src, dst);
-    half /= 2;
-    sb *= 2;
-    tstep *= 2;
-  }
-  if (src != home) {
-    Sweep cp{n, {prim_ref(false, src, {}, eb, kCplx), prim_ref(true, home, {}, eb, kCplx)}};
-    out.push_back(prim_pass("stockham copy home", {}, {std::move(cp)}));
-  }
-  if (s > 1) {
-    Sweep un{n, {prim_ref(false, buf0, {}, eb, kCplx),
-                 prim_ref(true, 0, {}, static_cast<i64>(s) * eb, kCplx)}};
-    out.push_back(prim_pass("stockham unpack", {}, {std::move(un)}));
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<AccessPass> primitive_passes(const plan::CostKey& key, std::uint64_t align_bytes,
-                                         index_t sweep_count) {
-  (void)align_bytes;  // primitive layouts are packed, as in the sim oracle
+std::vector<AccessPass> primitive_passes(const plan::CostKey& key, index_t sweep_count) {
   const std::string& k = key.kind;
-  const i64 eb = static_cast<i64>(kCplx);
-  if (k == "dft_leaf") return leaf_prim(key.a, key.b, sweep_count, kCplx);
-  if (k == "wht_leaf") return leaf_prim(key.a, key.b, sweep_count, kReal);
-  if (k == "tw_rows") {
-    const index_t n = key.a, n2 = key.b, s = key.c;
-    const index_t n1 = n / n2;
-    const i64 se = static_cast<i64>(s) * eb;
-    Sweep sw;
-    sw.count = n2 - 1;
-    sw.refs.push_back(
-        prim_twref(static_cast<u64>(n) * static_cast<u64>(s) * kCplx, n, 1, 1, 1, 1, kCplx));
-    const u64 row0 = static_cast<u64>(n2 + 1) * static_cast<u64>(s) * kCplx;
-    sw.refs.push_back(prim_ref(false, row0, {static_cast<i64>(n2) * se}, se, kCplx));
-    sw.refs.push_back(prim_ref(true, row0, {static_cast<i64>(n2) * se}, se, kCplx));
-    return {prim_pass("twiddle rows", {n1 - 1}, {std::move(sw)})};
+  const u64 eb = k == "wht_leaf" || k == "wht_reorg" ? sizeof(real_t) : sizeof(cplx);
+  const std::string path = "primitive";
+  const Emitter::Ctx top;
+  // The twiddle table starts at `tw_from`, packed (no alignment).
+  const auto build = [&](u64 tw_from, const auto& emit) {
+    Emitter em(eb, true, tw_from, 1);
+    emit(em);
+    return em.take();
+  };
+  if (k == "dft_leaf" || k == "wht_leaf") {
+    // The probe's sweep: consecutive base offsets when strided, consecutive
+    // blocks at unit stride.
+    const i64 step = static_cast<i64>(key.b > 1 ? eb : static_cast<u64>(key.a) * eb);
+    return build(0, [&](Emitter& em) { em.leaf(path, {{sweep_count}, {step}}, key.a, 0, key.b); });
   }
-  if (k == "tw_cols") {
-    const index_t n = key.a, n2 = key.b;
-    const index_t n1 = n / n2;
-    Sweep sw;
-    sw.count = n1 - 1;
-    sw.refs.push_back(prim_twref(static_cast<u64>(n) * kCplx, n, 1, 1, 1, 1, kCplx));
-    const u64 col0 = static_cast<u64>(n1 + 1) * kCplx;
-    sw.refs.push_back(prim_ref(false, col0, {static_cast<i64>(n1) * eb}, eb, kCplx));
-    sw.refs.push_back(prim_ref(true, col0, {static_cast<i64>(n1) * eb}, eb, kCplx));
-    return {prim_pass("twiddle columns (scratch)", {n2 - 1}, {std::move(sw)})};
+  if (k == "tw_rows") {
+    return build(static_cast<u64>(key.a * key.c) * eb,
+                 [&](Emitter& em) { em.twiddle_rows(path, top, key.a, key.b, 0, key.c); });
+  }
+  if (k == "tw_cols") {  // runs on the packed scratch, here at 0
+    return build(static_cast<u64>(key.a) * eb,
+                 [&](Emitter& em) { em.twiddle_cols(path, top, key.a, key.b, 0); });
   }
   if (k == "perm") {
-    const index_t n = key.a, m = key.b, s = key.c;
-    const i64 se = static_cast<i64>(s) * eb;
-    const u64 scratch = static_cast<u64>(n) * static_cast<u64>(s) * kCplx;
-    const index_t rows = n / m;
-    std::vector<AccessPass> out;
-    out.push_back(prim_transpose("permute gather (scratch)", rows, m, 0, se,
-                                 static_cast<i64>(m) * se, scratch, static_cast<i64>(rows) * eb,
-                                 eb, kCplx));
-    Sweep un{n, {prim_ref(false, scratch, {}, eb, kCplx), prim_ref(true, 0, {}, se, kCplx)}};
-    out.push_back(prim_pass("permute unpack", {}, {std::move(un)}));
-    return out;
+    const u64 scratch = static_cast<u64>(key.a * key.c) * eb;
+    return build(scratch,
+                 [&](Emitter& em) { em.permute(path, top, key.a, key.b, 0, key.c, scratch); });
   }
   if (k == "reorg" || k == "reorg_g" || k == "wht_reorg") {
-    const index_t n1 = key.a, n2 = key.b, s = key.c;
-    const std::size_t w = k == "wht_reorg" ? kReal : kCplx;
-    const i64 ew = static_cast<i64>(w);
-    const i64 se = static_cast<i64>(s) * ew;
-    const u64 scratch = static_cast<u64>(n1) * static_cast<u64>(n2) * static_cast<u64>(s) * w;
-    std::vector<AccessPass> out;
-    out.push_back(prim_transpose("reorg gather", n1, n2, 0, se, static_cast<i64>(n2) * se,
-                                 scratch, static_cast<i64>(n1) * ew, ew, w));
-    if (k != "reorg_g") {
-      out.push_back(prim_transpose("reorg scatter", n1, n2, scratch, static_cast<i64>(n1) * ew,
-                                   ew, 0, se, static_cast<i64>(n2) * se, w));
-    }
-    return out;
+    const u64 scratch = static_cast<u64>(key.a * key.b * key.c) * eb;
+    return build(scratch, [&](Emitter& em) {
+      em.reorg_gather(path, top, key.a, key.b, 0, key.c, scratch);
+      if (k != "reorg_g") em.reorg_scatter(path, top, key.a, key.b, 0, key.c, scratch);
+    });
   }
   if (k == "fused_tws") {
-    const index_t n1 = key.a, n2 = key.b, s = key.c;
-    const index_t n = n1 * n2;
-    const i64 se = static_cast<i64>(s) * eb;
-    const u64 scratch = static_cast<u64>(n) * static_cast<u64>(s) * kCplx;
-    Sweep sw;
-    sw.count = n1;
-    sw.refs.push_back(prim_ref(false, scratch, {static_cast<i64>(n1) * eb}, eb, kCplx));
-    StreamRef t = prim_twref(scratch + static_cast<u64>(n) * kCplx, n, 0, 1, 0, 0, kCplx);
-    t.skip_first_outer = true;
-    t.skip_first_elem = true;
-    sw.refs.push_back(std::move(t));
-    sw.refs.push_back(prim_ref(true, 0, {se}, static_cast<i64>(n2) * se, kCplx));
-    return {prim_pass("twiddle scatter (fused)", {n2}, {std::move(sw)})};
+    const index_t n = key.a * key.b;
+    const u64 scratch = static_cast<u64>(n * key.c) * eb;
+    return build(scratch + static_cast<u64>(n) * eb, [&](Emitter& em) {
+      em.twiddle_scatter(path, top, key.a, key.b, 0, key.c, scratch);
+    });
   }
-  if (k == "stockham") return stockham_prim(key.a, key.b);
+  if (k == "stockham") {  // two n-point ping-pong buffers, then the table
+    const u64 scratch = static_cast<u64>(key.a * key.b) * eb;
+    return build(scratch + 2 * static_cast<u64>(key.a) * eb,
+                 [&](Emitter& em) { em.stockham(path, top, key.a, 0, key.b, scratch); });
+  }
   return {};
+}
+
+AccessPass leaf_sweep_pass(index_t n, index_t stride, index_t count, std::size_t elem_bytes) {
+  DDL_REQUIRE(n >= 1 && stride >= 1 && count >= 1, "bad leaf sweep parameters");
+  Emitter em(elem_bytes, false, 0, 1);
+  em.leaf("primitive", {{count}, {static_cast<i64>(elem_bytes)}}, n, 0, stride);
+  return std::move(em.take().front());
 }
 
 double primitive_flops(const plan::CostKey& key) {
@@ -1217,7 +1121,7 @@ PrimitivePrediction predict_primitive(const plan::CostKey& key, const cache::Cac
   PrimitivePrediction pp;
   const index_t sweep = 64;
   const cache::CacheConfig* l2p = l2.size_bytes > 0 ? &l2 : nullptr;
-  for (const AccessPass& pass : primitive_passes(key, 64, sweep)) {
+  for (const AccessPass& pass : primitive_passes(key, sweep)) {
     const PassPrediction pr = predict_pass(pass, l1, l2p);
     pp.l1_misses += pr.l1.misses;
     pp.l2_misses += pr.l2.misses;

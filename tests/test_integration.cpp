@@ -125,7 +125,7 @@ TEST(Integration, PlannerTreesFeedTheSimulator) {
   fft::FftPlanner planner(fast_fft_opts());
   const auto tree = planner.plan(1 << 12, fft::Strategy::ddl_dp);
   cache::Cache sim({.size_bytes = 64 * 1024, .line_bytes = 64, .associativity = 1});
-  sim::FftTracer(sim).run(*tree);
+  sim::trace_fft(*tree, sim);
   EXPECT_GT(sim.stats().accesses, 0u);
   EXPECT_GT(sim.stats().misses, 0u);
   EXPECT_LE(sim.stats().miss_rate(), 1.0);

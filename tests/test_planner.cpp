@@ -11,10 +11,12 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "ddl/common/aligned.hpp"
 #include "ddl/common/mathutil.hpp"
+#include "ddl/common/parallel.hpp"
 #include "ddl/common/rng.hpp"
 #include "ddl/fft/planner.hpp"
 #include "ddl/fft/radix2.hpp"
@@ -299,6 +301,33 @@ TEST(OraclePlanner, Paper1999CacheMakesDdlSplitsAppear) {
   // And the DDL plan is predicted strictly cheaper than the SDL plan there.
   EXPECT_LT(planner.planned_cost(1 << 18, Strategy::ddl_dp),
             planner.planned_cost(1 << 18, Strategy::sdl_dp));
+}
+
+TEST(OraclePlanner, PlanDoesNotDependOnThreadCount) {
+  // The oracle models a one-CPU machine, so the host's pool width must not
+  // reach the DP's loop terms: at 4 threads they used to divide away the
+  // sub-transform costs and leave the reorganizations undivided, so the
+  // 2^18 DDL plan lost its ctddl node.
+  plan::CostDb db;  // shared, so each key is simulated once
+  PlannerOptions opts = fast_opts();
+  opts.cost_oracle = sim::simulated_cost_oracle({});
+  opts.cost_db = &db;
+  const int saved_threads = parallel::max_threads();
+  std::vector<std::string> trees;
+  std::vector<double> costs;
+  for (const int threads : {1, 4}) {
+    parallel::set_threads(threads);
+    FftPlanner planner(opts);
+    for (const Strategy s : {Strategy::sdl_dp, Strategy::ddl_dp}) {
+      trees.push_back(plan::to_string(*planner.plan(1 << 16, s)));
+      costs.push_back(planner.planned_cost(1 << 16, s));
+    }
+  }
+  parallel::set_threads(saved_threads);
+  EXPECT_EQ(trees[0], trees[2]);
+  EXPECT_EQ(trees[1], trees[3]);
+  EXPECT_EQ(costs[0], costs[2]);
+  EXPECT_EQ(costs[1], costs[3]);
 }
 
 TEST(OraclePlanner, UnknownKindThrows) {

@@ -93,12 +93,10 @@ STRIDE_ALLOWED = (
     "src/fft/",
     "src/wht/",
     "src/codelets/",
-    "src/sim/",
     "include/ddl/layout/",
     "include/ddl/fft/",
     "include/ddl/wht/",
     "include/ddl/codelets/",
-    "include/ddl/sim/",
 )
 
 # `+ <product involving a stride identifier>` — pointer-offset shape. Pure

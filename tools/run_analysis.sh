@@ -39,12 +39,15 @@
 #                                  costs (fails if the DP never consulted
 #                                  them), persist costdb+wisdom, and verify
 #                                  a corrupt costdb is rejected fail-closed
-#   6b. cache-oracle smoke         `ddlfft analyze-plan` on two canonical
-#                                  trees diffed against checked-in goldens
-#                                  (tools/golden/): the symbolic cache-miss
-#                                  analyzer is deterministic by construction,
-#                                  so any drift is a model change that must
-#                                  be reviewed (and the goldens regenerated)
+#   6b. goldens                    tools/golden/check.sh (also the ctest
+#                                  `test_goldens`): `ddlfft analyze-plan` on
+#                                  two canonical trees, the paper-figure
+#                                  simulator benches, `ddlfft simulate` and
+#                                  `ddlfft plan --oracle`, diffed against
+#                                  checked-in goldens. All are deterministic
+#                                  by construction, so any drift is a model
+#                                  change that must be reviewed (and the
+#                                  goldens regenerated)
 #   7. asan preset (Debug)         full suite under AddressSanitizer with the
 #                                  ddl::verify admission gate live
 #   8. ubsan preset (Debug)        full suite under UBSanitizer, gate live
@@ -234,19 +237,12 @@ autotune_smoke() {
 }
 check "ddlfft autotune smoke (calibrate + re-plan, fail-closed stores)" autotune_smoke
 
-# 6b. cache-oracle smoke: analyze-plan output is pure static analysis —
-#     byte-identical across hosts — so it diffs against checked-in goldens.
-#     Drift means the symbolic model changed; review it, then regenerate via
-#     tools/golden/README.md.
-cache_oracle_smoke() {
-  ./build/apps/ddlfft analyze-plan --tree "ct(16,ct(16,16))" \
-    --cache 32K:8,512K:1 > build/analyze_static.txt &&
-    diff -u tools/golden/analyze_ct16_16_16.txt build/analyze_static.txt &&
-    ./build/apps/ddlfft analyze-plan --tree "ctddlf(16,ct(16,16))" \
-      --cache 32K:8,512K:1 > build/analyze_ddlf.txt &&
-    diff -u tools/golden/analyze_ctddlf16_16_16.txt build/analyze_ddlf.txt
-}
-check "cache-oracle smoke (analyze-plan vs goldens)" cache_oracle_smoke
+# 6b. goldens: the static analyzer, the cache simulator and the simulated-
+#     cost planner are byte-identical across hosts and thread counts, so
+#     their outputs diff against checked-in goldens — the same script the
+#     ctest `test_goldens` (label `analysis`) runs. Drift means a model
+#     changed; review it, then regenerate via tools/golden/README.md.
+check "goldens (tools/golden/check.sh)" bash tools/golden/check.sh build
 
 # 7/8/9. sanitizer suites -----------------------------------------------------
 if [[ "$FAST" == "0" ]]; then
