@@ -468,6 +468,9 @@ int cmd_analyze(const cli::Args& args) {
   }
   opts.align_bytes = std::max(opts.l1.line_bytes,
                               opts.l2.size_bytes != 0 ? opts.l2.line_bytes : 0);
+  // The table separates capacity from conflict misses at both levels.
+  opts.l1.split_remiss = true;
+  opts.l2.split_remiss = true;
 
   const verify::cachepred::CacheReport report = verify::cachepred::analyze_plan(*tree, opts);
   const bool two_level = opts.l2.size_bytes != 0;
@@ -487,8 +490,8 @@ int cmd_analyze(const cli::Args& args) {
   for (const auto& st : report.stages) {
     const auto& p = st.predict;
     stages.add_row({st.pass.node_path, st.pass.op, std::to_string(p.l1.accesses),
-                    std::to_string(p.l1.misses), std::to_string(p.l1.compulsory),
-                    std::to_string(p.l1.capacity), std::to_string(p.l1.conflict),
+                    std::to_string(p.l1.misses), std::to_string(p.l1.compulsory_misses),
+                    std::to_string(p.l1.capacity_misses), std::to_string(p.l1.conflict_misses),
                     two_level ? std::to_string(p.l2.misses) : "-",
                     std::to_string(p.bytes_moved), p.closed_form ? "yes" : "no"});
   }
@@ -509,9 +512,9 @@ int cmd_analyze(const cli::Args& args) {
   cover.print(std::cout, "footprint-stage coverage cross-check");
 
   std::cout << "\ntotals: " << report.total_l1.accesses << " accesses, "
-            << report.total_l1.misses << " L1 misses (" << report.total_l1.compulsory
-            << " compulsory, " << report.total_l1.capacity << " capacity, "
-            << report.total_l1.conflict << " conflict)";
+            << report.total_l1.misses << " L1 misses (" << report.total_l1.compulsory_misses
+            << " compulsory, " << report.total_l1.capacity_misses << " capacity, "
+            << report.total_l1.conflict_misses << " conflict)";
   if (two_level) std::cout << ", " << report.total_l2.misses << " L2 misses";
   std::cout << ", " << report.bytes_moved << " bytes moved\n"
             << "coverage: " << (report.covered() ? "complete" : "INCOMPLETE") << "\n";

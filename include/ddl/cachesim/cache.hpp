@@ -9,8 +9,9 @@
 /// line) or conflict/capacity (re-miss of a previously resident line) — the
 /// distinction the paper's Sec. III-B analysis is about.
 ///
-/// Addresses are plain byte addresses; the trace generator (src/sim) feeds
-/// synthetic addresses derived from element indices.
+/// Addresses are plain byte addresses; the trace generator (src/sim) and the
+/// per-stage predictor (verify::cachepred) feed synthetic addresses derived
+/// from element indices. This is the repository's only cache simulator.
 
 #include <cstdint>
 #include <list>
@@ -95,7 +96,14 @@ struct CacheStats {
   [[nodiscard]] double miss_rate() const {
     return accesses == 0 ? 0.0 : static_cast<double>(misses) / static_cast<double>(accesses);
   }
+  bool operator==(const CacheStats&) const = default;
 };
+
+/// Counter-by-counter sum, difference and multiple: totals over passes, and
+/// the steady-state extrapolation of verify::cachepred::predict_pass.
+CacheStats operator+(const CacheStats& a, const CacheStats& b);
+CacheStats operator-(const CacheStats& a, const CacheStats& b);
+CacheStats operator*(const CacheStats& a, std::uint64_t k);
 
 /// One cache level.
 class Cache {
@@ -116,7 +124,6 @@ class Cache {
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
- private:
   struct Line {
     std::uint64_t tag = 0;
     std::uint64_t stamp = 0;  ///< LRU: last-use tick; FIFO: fill tick
@@ -124,6 +131,17 @@ class Cache {
     bool prefetched = false;  ///< filled by the prefetcher, not yet demanded
   };
 
+  /// Replacement state: every way of every set, and the fully-associative
+  /// shadow's lines from LRU to MRU (empty unless split_remiss).
+  struct State {
+    std::vector<Line> lines;  ///< sets x ways, row-major by set
+    std::vector<std::uint64_t> shadow;
+  };
+
+  /// A copy of the replacement state, for comparing two points of a run.
+  [[nodiscard]] State state() const;
+
+ private:
   struct Stream {
     std::uint64_t region = 0;  ///< line_addr / region_lines this stream lives in
     std::uint64_t last_line = 0;
@@ -157,22 +175,6 @@ class Cache {
   // order, map is line -> list position for O(1) touch.
   std::list<std::uint64_t> shadow_lru_;
   std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> shadow_pos_;
-};
-
-/// Two-level hierarchy: an access that misses L1 is forwarded to L2.
-class Hierarchy {
- public:
-  Hierarchy(const CacheConfig& l1, const CacheConfig& l2);
-
-  void access(std::uint64_t addr, bool is_write = false);
-  void reset();
-
-  [[nodiscard]] const Cache& l1() const noexcept { return l1_; }
-  [[nodiscard]] const Cache& l2() const noexcept { return l2_; }
-
- private:
-  Cache l1_;
-  Cache l2_;
 };
 
 }  // namespace ddl::cache

@@ -46,11 +46,11 @@ void trace_fft(const plan::Node& tree, cache::Cache& cache, TraceOptions opts = 
 void trace_wht(const plan::Node& tree, cache::Cache& cache,
                TraceOptions opts = {.elem_bytes = sizeof(real_t)});
 
-/// Replay one symbolic access pass (verify::cachepred) through real caches —
-/// the ground truth the property suite holds predict_pass exactly equal to,
-/// transition function against transition function. When `l2` is given it
-/// sees exactly the accesses that miss in `l1`, as in Hierarchy. The Sec.
-/// III-B / Fig. 3 leaf experiment is replay_pass(leaf_sweep_pass(...)).
+/// Replay one access pass (verify::cachepred) through caches, every
+/// iteration walked — the ground truth the property suite holds
+/// predict_pass's loop closure exactly equal to. When `l2` is given it sees
+/// exactly the accesses that miss in `l1`, as an L2 behind it would. The
+/// Sec. III-B / Fig. 3 leaf experiment is replay_pass(leaf_sweep_pass(...)).
 void replay_pass(const verify::cachepred::AccessPass& pass, cache::Cache& l1,
                  cache::Cache* l2 = nullptr);
 

@@ -1,13 +1,13 @@
 #pragma once
 /// \file cachepred.hpp
-/// \brief Symbolic per-stage cache-miss prediction — the static analogue of
-///        the paper's Sec. III-B analysis, promoted to a planning oracle.
+/// \brief Static per-stage cache-miss prediction — the analogue of the
+///        paper's Sec. III-B analysis, promoted to a planning oracle.
 ///
 /// The footprint analyzer (footprint.hpp) models every execution stage as a
 /// uniform chunk family; this module extends that write-set model to the
 /// full access structure of a stage — reads, writes and twiddle-table walks
 /// — and evaluates it against a configurable cache geometry *without
-/// generating a byte trace and without executing the plan*.
+/// executing the plan*.
 ///
 /// ## The pass model
 ///
@@ -40,25 +40,24 @@
 ///     next one starts. sim::trace_fft and sim::trace_wht feed that walk
 ///     into a cache::Cache: the paper's whole-plan cache study.
 ///
-/// ## Prediction = the simulator's transition function, run symbolically
+/// ## One simulator, plus a loop closure
 ///
-/// `predict_pass` evaluates the loop nest against a line-granular model of
-/// cache::Cache (same set mapping, same LRU/FIFO stamping, same prefetch
-/// engines, plus the fully-associative shadow that splits capacity from
-/// conflict). When an outer loop's remaining iterations provably shift the
-/// access stream by a constant byte offset and the cache state reaches a
-/// shift-invariant fixed point, the evaluator *closes the loop in constant
-/// time* — the steady-state extrapolation is exact, not approximate (the
-/// shift is an automorphism of the cache's transition function), so typical
-/// instance loops cost O(cache) instead of O(iterations). Where the
-/// preconditions fail, it falls back to walking the nest line by line —
-/// still no byte trace, still no execution.
+/// `predict_pass` walks the pass through one cache::Cache per level, built
+/// from the configs it is given (split_remiss and prefetchers included).
+/// When an outer loop's remaining iterations provably shift the access
+/// stream by a constant byte offset and the caches reach a shift-invariant
+/// fixed point (read through Cache::state()), the evaluator *closes the
+/// loop in constant time*: the shift is an automorphism of the cache's
+/// transition function, so extrapolating the remaining iterations is exact,
+/// and typical instance loops cost O(cache) instead of O(iterations). Where
+/// the preconditions fail it walks the whole nest, which is exactly
+/// sim::replay_pass.
 ///
-/// Exactness is enforced, never assumed: sim::replay_pass feeds the same
-/// pass description through the real cache::Cache, and the property suite
-/// (tests/test_cachepred.cpp) requires predict == replay for every tested
-/// geometry. docs/CACHEMODEL.md states the tolerance policy for the
-/// remaining comparison (per-stage-cold sums vs. a warm whole-plan trace).
+/// Exactness is enforced, never assumed: the property suite
+/// (tests/test_cachepred.cpp) requires predict == sim::replay_pass for every
+/// tested geometry, with split_remiss off and on. docs/CACHEMODEL.md states
+/// the tolerance policy for the remaining comparison (per-stage-cold sums
+/// vs. a warm whole-plan trace).
 
 #include <algorithm>
 #include <cstdint>
@@ -118,33 +117,20 @@ struct AccessPass {
   [[nodiscard]] std::uint64_t bytes_touched() const;
 };
 
-/// Per-level predicted counts; field-compatible with cache::CacheStats.
-struct LevelPrediction {
-  std::uint64_t accesses = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t compulsory = 0;
-  std::uint64_t capacity = 0;   ///< re-miss the FA shadow also takes
-  std::uint64_t conflict = 0;   ///< re-miss manufactured by the set mapping
-  std::uint64_t evictions = 0;
-  std::uint64_t prefetch_fills = 0;
-  std::uint64_t prefetch_hits = 0;
-};
-
 /// Prediction for one pass over a (possibly two-level) geometry.
 struct PassPrediction {
-  LevelPrediction l1;
-  LevelPrediction l2;               ///< all-zero when no L2 was configured
+  cache::CacheStats l1;
+  cache::CacheStats l2;             ///< all-zero when no L2 was configured
   std::uint64_t bytes_moved = 0;    ///< bytes_touched() of the pass
-  bool closed_form = false;         ///< steady-state closure fired at least once
+  bool closed_form = false;         ///< steady-state closure fired
 };
 
-/// Evaluate one pass symbolically. `l2` may be null (single level). Both
-/// caches are cold at pass entry — the per-stage-cold semantics the
-/// property suite replays. Configs are validated. `enable_closure` toggles
-/// the steady-state loop closure; with it off the evaluator always walks
-/// the full nest (same counts, more time — the property suite runs both).
+/// Predict one pass: run it through a cold cache::Cache per level (`l2` may
+/// be null; it sees the L1 misses), closing the outer loop in constant time
+/// once the caches reach a shifted steady state. The counts equal
+/// sim::replay_pass on the same configs, split_remiss included.
 PassPrediction predict_pass(const AccessPass& pass, const cache::CacheConfig& l1,
-                            const cache::CacheConfig* l2 = nullptr, bool enable_closure = true);
+                            const cache::CacheConfig* l2 = nullptr);
 
 namespace detail {
 
@@ -349,8 +335,8 @@ void for_each_visit(const std::vector<AccessPass>& passes, const PassVisit& visi
 }  // namespace detail
 
 /// Issue every demand access of the pass, in exact nest order, to
-/// touch(byte_address, is_write). sim::replay_pass drives a real
-/// cache::Cache through this to hold the symbolic evaluator accountable.
+/// touch(byte_address, is_write). sim::replay_pass drives a cache::Cache
+/// through this, the full walk predict_pass's loop closure is held to.
 template <class Touch>
 void walk_pass(const AccessPass& pass, Touch&& touch) {
   detail::check_arity(pass);
@@ -419,8 +405,8 @@ struct StagePrediction {
 struct CacheReport {
   std::vector<StagePrediction> stages;
   std::vector<StageCoverage> coverage;
-  LevelPrediction total_l1;
-  LevelPrediction total_l2;
+  cache::CacheStats total_l1;
+  cache::CacheStats total_l2;
   std::uint64_t bytes_moved = 0;
   bool uncovered = false;
 

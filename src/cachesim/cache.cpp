@@ -1,5 +1,7 @@
 #include "ddl/cachesim/cache.hpp"
 
+#include <functional>
+
 #include "ddl/common/check.hpp"
 #include "ddl/common/mathutil.hpp"
 
@@ -195,17 +197,39 @@ void Cache::reset() {
   shadow_pos_.clear();
 }
 
-Hierarchy::Hierarchy(const CacheConfig& l1, const CacheConfig& l2) : l1_(l1), l2_(l2) {}
-
-void Hierarchy::access(std::uint64_t addr, bool is_write) {
-  if (!l1_.access(addr, is_write)) {
-    l2_.access(addr, is_write);
-  }
+Cache::State Cache::state() const {
+  return State{lines_, std::vector<std::uint64_t>(shadow_lru_.begin(), shadow_lru_.end())};
 }
 
-void Hierarchy::reset() {
-  l1_.reset();
-  l2_.reset();
+namespace {
+
+/// op(a.f, b.f) for every counter f.
+template <class Op>
+CacheStats counterwise(const CacheStats& a, const CacheStats& b, Op op) {
+  return {.accesses = op(a.accesses, b.accesses),
+          .reads = op(a.reads, b.reads),
+          .writes = op(a.writes, b.writes),
+          .misses = op(a.misses, b.misses),
+          .compulsory_misses = op(a.compulsory_misses, b.compulsory_misses),
+          .conflict_misses = op(a.conflict_misses, b.conflict_misses),
+          .capacity_misses = op(a.capacity_misses, b.capacity_misses),
+          .evictions = op(a.evictions, b.evictions),
+          .prefetch_fills = op(a.prefetch_fills, b.prefetch_fills),
+          .prefetch_hits = op(a.prefetch_hits, b.prefetch_hits)};
+}
+
+}  // namespace
+
+CacheStats operator+(const CacheStats& a, const CacheStats& b) {
+  return counterwise(a, b, std::plus<>());
+}
+
+CacheStats operator-(const CacheStats& a, const CacheStats& b) {
+  return counterwise(a, b, std::minus<>());
+}
+
+CacheStats operator*(const CacheStats& a, std::uint64_t k) {
+  return counterwise(a, a, [k](std::uint64_t x, std::uint64_t) { return x * k; });
 }
 
 }  // namespace ddl::cache

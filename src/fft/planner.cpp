@@ -104,74 +104,6 @@ double FftPlanner::model_cost_for(const plan::CostKey& key) {
                                        opts_.cache_model.l2);
 }
 
-double FftPlanner::predicted_l2(const plan::CostKey& key) {
-  if (auto it = l2_pred_.find(key); it != l2_pred_.end()) return it->second;
-  const auto pred =
-      verify::cachepred::predict_primitive(key, opts_.cache_model.l1, opts_.cache_model.l2);
-  const double misses = static_cast<double>(pred.l2_misses);
-  l2_pred_.emplace(key, misses);
-  return misses;
-}
-
-std::vector<std::pair<index_t, index_t>> FftPlanner::prefilter_splits(
-    index_t n, index_t stride, bool allow_ddl,
-    const std::vector<std::pair<index_t, index_t>>& splits) {
-  if (!opts_.cache_model.prefilter || opts_.cost_oracle || splits.size() <= 1) return splits;
-
-  const codelets::Isa isa = codelets::active_isa();
-  const std::string isa_tag = isa != codelets::Isa::scalar ? codelets::isa_name(isa) : "";
-
-  // Score each candidate by the predicted L2 misses of its node-local
-  // passes, taking the cheapest layout variant the DP could pick for it
-  // (static, two-pass ddl, fused ddl) so a split is never condemned for the
-  // layout it would not use. A split is *eligible* for pruning only if none
-  // of those node-level keys is already in the CostDb: present keys mean
-  // the DP has (or was given) real data for this split, and the search must
-  // stay bit-identical to the unfiltered one.
-  struct Scored {
-    double score = 0.0;
-    bool prunable = false;
-  };
-  std::vector<Scored> scored(splits.size());
-  double best_score = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < splits.size(); ++i) {
-    const auto [n1, n2] = splits[i];
-    std::vector<plan::CostKey> keys;
-    keys.push_back({"tw_rows", n, n2, stride});
-    keys.push_back({"perm", n, n2, stride});
-    const double perm_l2 = predicted_l2(keys[1]);
-    double score = predicted_l2(keys[0]) + perm_l2;
-    if (allow_ddl && stride * n2 > 1) {
-      keys.push_back({"reorg", n1, n2, stride});
-      keys.push_back({"tw_cols", n, n2, 0});
-      score = std::min(score, predicted_l2(keys[2]) + predicted_l2(keys[3]) + perm_l2);
-      if (opts_.enable_fused) {
-        keys.push_back({"reorg_g", n1, n2, stride});
-        keys.push_back({"fused_tws", n1, n2, stride, isa_tag});
-        score = std::min(score, predicted_l2(keys[4]) + predicted_l2(keys[5]) + perm_l2);
-      }
-    }
-    bool known = false;
-    for (const auto& k : keys) known = known || cost_db_->contains(k);
-    scored[i] = {score, !known};
-    best_score = std::min(best_score, score);
-  }
-
-  std::vector<std::pair<index_t, index_t>> kept;
-  kept.reserve(splits.size());
-  const double threshold = opts_.cache_model.prune_factor * best_score;
-  for (std::size_t i = 0; i < splits.size(); ++i) {
-    if (scored[i].prunable && scored[i].score > threshold) {
-      ++stats_.pruned_splits;
-      continue;
-    }
-    kept.push_back(splits[i]);
-  }
-  // The scorer is a pre-filter, not the search: never prune down to nothing.
-  if (kept.empty()) return splits;
-  return kept;
-}
-
 double FftPlanner::leaf_cost(index_t n, index_t stride) {
   // Vectorized leaves shift the optimal split points, so their measured
   // costs live under an ISA-tagged key and coexist with the scalar ones
@@ -401,9 +333,7 @@ const FftPlanner::Best& FftPlanner::best(index_t n, index_t stride, bool allow_d
   }
 
   // Option 2: split n = n1 * n2 (left x right), static or dynamic layout.
-  // The symbolic prefilter (when enabled) drops splits whose predicted
-  // node-local L2 traffic is hopeless before any probe or recursion runs.
-  for (const auto& [n1, n2] : prefilter_splits(n, stride, allow_ddl, candidate_splits(n))) {
+  for (const auto& [n1, n2] : candidate_splits(n)) {
     const Best& right = best(n2, stride, allow_ddl);
     const double shared = static_cast<double>(n1) * right.cost / fanout_workers(n, n1) +
                           perm_cost(n, n2, stride);
@@ -488,11 +418,10 @@ void FftPlanner::invalidate() {
   // Memo entries computed from stale synthetic costs must not shadow newly
   // ingested calibrated ones; the CostDb itself is left intact. The cost
   // model refits on next use — calibration is exactly when new regression
-  // samples appear — and prediction memos rebuild cheaply.
+  // samples appear.
   memo_.clear();
   measured_memo_.clear();
   coeffs_ready_ = false;
-  l2_pred_.clear();
 }
 
 double FftPlanner::planned_cost(index_t n, Strategy strategy) {

@@ -4,12 +4,10 @@
 #include <array>
 #include <cmath>
 #include <functional>
-#include <list>
 #include <map>
-#include <memory>
 #include <numeric>
+#include <optional>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "ddl/common/check.hpp"
@@ -506,220 +504,11 @@ std::vector<AccessPass> enumerate_passes(const plan::Node& tree, const AnalyzeOp
 }
 
 // ---------------------------------------------------------------------------
-// Symbolic evaluation: a line-granular mirror of cache::Cache plus an exact
+// Per-stage prediction: the pass through cache::Cache, plus an exact
 // steady-state loop closure.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// One cache level, transition-for-transition identical to cache::Cache
-/// (cachesim/cache.cpp) with the fully-associative shadow always on — the
-/// property suite holds the two implementations equal, access stream by
-/// access stream.
-class LevelSim {
- public:
-  explicit LevelSim(const cache::CacheConfig& cfg) : cfg_(cfg) {
-    cfg_.validate();
-    ways_ = cfg_.ways();
-    sets_ = cfg_.sets();
-    lines_.assign(sets_ * ways_, Line{});
-    if (cfg_.prefetch == cache::Prefetch::stream) {
-      streams_.assign(static_cast<std::size_t>(cfg_.stream_table), Stream{});
-    }
-  }
-
-  bool access(u64 addr, bool is_write) {
-    (void)is_write;  // write-allocate: reads and writes miss identically
-    ++st.accesses;
-    ++tick_;
-    const u64 line_addr = addr / cfg_.line_bytes;
-    const std::size_t set = static_cast<std::size_t>(line_addr) & (sets_ - 1);
-    const u64 tag = line_addr / sets_;
-    Line* set_base = lines_.data() + set * ways_;
-
-    if (cfg_.prefetch == cache::Prefetch::stream) train_streams(line_addr);
-    const bool fa_hit = shadow_touch(line_addr);
-
-    for (std::size_t w = 0; w < ways_; ++w) {
-      Line& line = set_base[w];
-      if (line.valid && line.tag == tag) {
-        if (cfg_.replacement == cache::Replacement::lru) line.stamp = tick_;
-        if (line.prefetched) {
-          line.prefetched = false;
-          ++st.prefetch_hits;
-        }
-        return true;
-      }
-    }
-
-    ++st.misses;
-    if (touched_.insert(line_addr).second) {
-      ++st.compulsory;
-    } else if (!fa_hit) {
-      ++st.capacity;
-    } else {
-      ++st.conflict;
-    }
-
-    Line* victim = set_base;
-    for (std::size_t w = 0; w < ways_; ++w) {
-      Line& line = set_base[w];
-      if (!line.valid) {
-        victim = &line;
-        break;
-      }
-      if (line.stamp < victim->stamp) victim = &line;
-    }
-    if (victim->valid) ++st.evictions;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->stamp = tick_;
-    victim->prefetched = false;
-
-    if (cfg_.prefetch == cache::Prefetch::next_line) prefetch_fill(line_addr + 1);
-    return false;
-  }
-
-  struct Line {
-    u64 tag = 0;
-    u64 stamp = 0;
-    bool valid = false;
-    bool prefetched = false;
-  };
-
-  /// Residency + recency state for the closure's shift comparison.
-  struct State {
-    std::vector<Line> lines;
-    std::vector<u64> shadow;  ///< LRU -> MRU line addresses
-  };
-
-  [[nodiscard]] State state() const {
-    return State{lines_, std::vector<u64>(shadow_lru_.begin(), shadow_lru_.end())};
-  }
-
-  [[nodiscard]] std::size_t sets() const noexcept { return sets_; }
-  [[nodiscard]] const cache::CacheConfig& config() const noexcept { return cfg_; }
-
-  LevelPrediction st;
-
- private:
-  struct Stream {
-    u64 region = 0;
-    u64 last_line = 0;
-    i64 delta = 0;
-    int confidence = 0;
-    bool valid = false;
-  };
-
-  bool shadow_touch(u64 line_addr) {
-    if (auto it = shadow_pos_.find(line_addr); it != shadow_pos_.end()) {
-      shadow_lru_.splice(shadow_lru_.end(), shadow_lru_, it->second);
-      return true;
-    }
-    shadow_pos_.emplace(line_addr, shadow_lru_.insert(shadow_lru_.end(), line_addr));
-    if (shadow_lru_.size() > cfg_.lines()) {
-      shadow_pos_.erase(shadow_lru_.front());
-      shadow_lru_.pop_front();
-    }
-    return false;
-  }
-
-  bool prefetch_fill(u64 line_addr) {
-    const std::size_t set = static_cast<std::size_t>(line_addr) & (sets_ - 1);
-    const u64 tag = line_addr / sets_;
-    Line* set_base = lines_.data() + set * ways_;
-    for (std::size_t w = 0; w < ways_; ++w) {
-      if (set_base[w].valid && set_base[w].tag == tag) return false;
-    }
-    Line* victim = set_base;
-    for (std::size_t w = 0; w < ways_; ++w) {
-      Line& line = set_base[w];
-      if (!line.valid) {
-        victim = &line;
-        break;
-      }
-      if (line.stamp < victim->stamp) victim = &line;
-    }
-    if (victim->valid) ++st.evictions;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->stamp = tick_;
-    victim->prefetched = true;
-    touched_.insert(line_addr);
-    shadow_touch(line_addr);
-    ++st.prefetch_fills;
-    return true;
-  }
-
-  void train_streams(u64 line_addr) {
-    const u64 region = line_addr / static_cast<u64>(cfg_.region_lines);
-    for (auto& s : streams_) {
-      if (!s.valid || s.region != region) continue;
-      const i64 delta = static_cast<i64>(line_addr) - static_cast<i64>(s.last_line);
-      if (delta == 0) return;
-      if (delta == s.delta) {
-        if (s.confidence < 3) ++s.confidence;
-      } else {
-        s.delta = delta;
-        s.confidence = 1;
-      }
-      s.last_line = line_addr;
-      if (s.confidence >= 2) {
-        prefetch_fill(line_addr + static_cast<u64>(s.delta));
-        prefetch_fill(line_addr + 2 * static_cast<u64>(s.delta));
-      }
-      return;
-    }
-    Stream& s = streams_[stream_rr_];
-    stream_rr_ = (stream_rr_ + 1) % streams_.size();
-    s.valid = true;
-    s.region = region;
-    s.last_line = line_addr;
-    s.delta = 0;
-    s.confidence = 0;
-  }
-
-  cache::CacheConfig cfg_;
-  std::size_t sets_;
-  std::size_t ways_;
-  std::vector<Line> lines_;
-  std::vector<Stream> streams_;
-  std::size_t stream_rr_ = 0;
-  u64 tick_ = 0;
-  std::unordered_set<u64> touched_;
-  std::list<u64> shadow_lru_;
-  std::unordered_map<u64, std::list<u64>::iterator> shadow_pos_;
-};
-
-void add_scaled(LevelPrediction& dst, const LevelPrediction& d, u64 times) {
-  dst.accesses += d.accesses * times;
-  dst.misses += d.misses * times;
-  dst.compulsory += d.compulsory * times;
-  dst.capacity += d.capacity * times;
-  dst.conflict += d.conflict * times;
-  dst.evictions += d.evictions * times;
-  dst.prefetch_fills += d.prefetch_fills * times;
-  dst.prefetch_hits += d.prefetch_hits * times;
-}
-
-LevelPrediction diff(const LevelPrediction& a, const LevelPrediction& b) {
-  LevelPrediction d;
-  d.accesses = a.accesses - b.accesses;
-  d.misses = a.misses - b.misses;
-  d.compulsory = a.compulsory - b.compulsory;
-  d.capacity = a.capacity - b.capacity;
-  d.conflict = a.conflict - b.conflict;
-  d.evictions = a.evictions - b.evictions;
-  d.prefetch_fills = a.prefetch_fills - b.prefetch_fills;
-  d.prefetch_hits = a.prefetch_hits - b.prefetch_hits;
-  return d;
-}
-
-bool equal(const LevelPrediction& a, const LevelPrediction& b) {
-  return a.accesses == b.accesses && a.misses == b.misses && a.compulsory == b.compulsory &&
-         a.capacity == b.capacity && a.conflict == b.conflict && a.evictions == b.evictions &&
-         a.prefetch_fills == b.prefetch_fills && a.prefetch_hits == b.prefetch_hits;
-}
 
 /// Byte interval [lo, hi] a ref can reach; loop0 restricted to iteration 0
 /// when `first_iter_only` (the per-iteration window of a shifted ref).
@@ -837,7 +626,7 @@ ClosurePlan closure_plan(const AccessPass& pass, const cache::CacheConfig& l1,
 /// Does `cur` equal `prev` translated by `step_bytes` (shifted-region lines
 /// move, fixed-region lines stay)? Compares per-set stamp-ordered residency
 /// and the shadow's LRU order — the full observable state of a level.
-bool state_shifted(const LevelSim::State& prev, const LevelSim::State& cur,
+bool state_shifted(const cache::Cache::State& prev, const cache::Cache::State& cur,
                    const cache::CacheConfig& cfg, const ClosurePlan& cp, u64 step_bytes) {
   const std::size_t sets = cfg.sets();
   const std::size_t ways = cfg.ways();
@@ -851,11 +640,11 @@ bool state_shifted(const LevelSim::State& prev, const LevelSim::State& cur,
     }
     return la + dl;
   };
-  auto canon = [&](const std::vector<LevelSim::Line>& lines, bool mapped) {
+  auto canon = [&](const std::vector<cache::Cache::Line>& lines, bool mapped) {
     std::vector<std::vector<std::pair<u64, u64>>> per_set(sets);
     for (std::size_t s = 0; s < sets; ++s) {
       for (std::size_t w = 0; w < ways; ++w) {
-        const LevelSim::Line& ln = lines[s * ways + w];
+        const cache::Cache::Line& ln = lines[s * ways + w];
         if (!ln.valid) continue;
         const u64 la = mapped ? map_line(ln.tag * sets + s) : ln.tag * sets + s;
         per_set[static_cast<std::size_t>(la) & (sets - 1)].push_back({ln.stamp, la});
@@ -882,58 +671,59 @@ bool state_shifted(const LevelSim::State& prev, const LevelSim::State& cur,
 }  // namespace
 
 PassPrediction predict_pass(const AccessPass& pass, const cache::CacheConfig& l1,
-                            const cache::CacheConfig* l2, bool enable_closure) {
+                            const cache::CacheConfig* l2) {
   detail::check_arity(pass);
-  LevelSim sim1(l1);
-  std::unique_ptr<LevelSim> sim2;
-  if (l2 != nullptr) sim2 = std::make_unique<LevelSim>(*l2);
+  cache::Cache c1(l1);
+  std::optional<cache::Cache> c2;
+  if (l2 != nullptr) c2.emplace(*l2);
   const auto touch = [&](u64 addr, bool w) {
-    if (!sim1.access(addr, w) && sim2) sim2->access(addr, w);
+    if (!c1.access(addr, w) && c2) c2->access(addr, w);
   };
+  const auto stats2 = [&c2] { return c2 ? c2->stats() : cache::CacheStats{}; };
 
   PassPrediction out;
   out.bytes_moved = pass.bytes_touched();
   const index_t c0 = pass.loops.empty() ? 1 : pass.loops[0];
   if (c0 <= 0) return out;
 
-  const ClosurePlan cp = enable_closure ? closure_plan(pass, l1, l2) : ClosurePlan{};
+  const ClosurePlan cp = closure_plan(pass, l1, l2);
   detail::WalkScratch ws;
-  index_t walked = 0;  // plain loop0 iterations consumed
+  index_t walked = 0;                     // plain loop0 iterations consumed
+  cache::CacheStats extra1, extra2;       // counts of the iterations closed off
   if (cp.ok) {
     const u64 gran = std::min<u64>(l1.line_bytes, l2 != nullptr ? l2->line_bytes : l1.line_bytes);
     const u64 step_bytes = static_cast<u64>(cp.shift) * static_cast<u64>(cp.block);
     const u64 dg = step_bytes / gran;
     const index_t total_super = c0 / cp.block;
-    LevelSim::State prev1, prev2;
-    LevelPrediction pd1, pd2;  // previous super-iteration's deltas
+    cache::Cache::State prev1, prev2;
+    cache::CacheStats pd1, pd2;  // previous super-iteration's deltas
     std::vector<u64> prev_set;
-    std::vector<LevelPrediction> plain1, plain2;  // per-plain deltas, last super
+    std::vector<cache::CacheStats> plain1, plain2;  // per-plain deltas, last super
     bool have_prev = false;
     for (index_t t = 0; t < total_super; ++t) {
       std::unordered_set<u64> touched_now;
-      const LevelPrediction b1 = sim1.st;
-      const LevelPrediction b2 = sim2 ? sim2->st : LevelPrediction{};
+      const cache::CacheStats b1 = c1.stats();
+      const cache::CacheStats b2 = stats2();
       plain1.clear();
       plain2.clear();
-      LevelPrediction p1 = b1, p2 = b2;
       auto record = [&](u64 addr, bool w) {
         touched_now.insert(addr / gran);
         touch(addr, w);
       };
       for (index_t i = 0; i < cp.block; ++i) {
+        const cache::CacheStats p1 = c1.stats();
+        const cache::CacheStats p2 = stats2();
         detail::walk_nest(pass, {}, t * cp.block + i, t * cp.block + i + 1, record, ws);
-        plain1.push_back(diff(sim1.st, p1));
-        plain2.push_back(diff(sim2 ? sim2->st : LevelPrediction{}, p2));
-        p1 = sim1.st;
-        p2 = sim2 ? sim2->st : LevelPrediction{};
+        plain1.push_back(c1.stats() - p1);
+        plain2.push_back(stats2() - p2);
       }
       walked = (t + 1) * cp.block;
-      const LevelPrediction d1 = diff(sim1.st, b1);
-      const LevelPrediction d2 = diff(sim2 ? sim2->st : LevelPrediction{}, b2);
+      const cache::CacheStats d1 = c1.stats() - b1;
+      const cache::CacheStats d2 = stats2() - b2;
       std::vector<u64> cur_set(touched_now.begin(), touched_now.end());
       std::sort(cur_set.begin(), cur_set.end());
 
-      bool close = have_prev && t >= cp.warmup && equal(d1, pd1) && equal(d2, pd2) &&
+      bool close = have_prev && t >= cp.warmup && d1 == pd1 && d2 == pd2 &&
                    cur_set.size() == prev_set.size();
       if (close) {
         for (std::size_t i = 0; i < cur_set.size() && close; ++i) {
@@ -944,37 +734,34 @@ PassPrediction predict_pass(const AccessPass& pass, const cache::CacheConfig& l1
           close = mapped == cur_set[i];
         }
       }
-      if (close) close = state_shifted(prev1, sim1.state(), l1, cp, step_bytes);
-      if (close && sim2) close = state_shifted(prev2, sim2->state(), *l2, cp, step_bytes);
+      if (close) close = state_shifted(prev1, c1.state(), l1, cp, step_bytes);
+      if (close && c2) close = state_shifted(prev2, c2->state(), *l2, cp, step_bytes);
       if (close) {
         // Everything from here on is a translated replay: extrapolate the
         // remaining full super-iterations, then the leftover plain
         // iterations from the recorded per-iteration deltas.
         const u64 rest = static_cast<u64>(total_super - 1 - t);
-        add_scaled(sim1.st, d1, rest);
-        if (sim2) add_scaled(sim2->st, d2, rest);
-        const index_t rem = c0 % cp.block;
-        for (index_t i = 0; i < rem; ++i) {
-          add_scaled(sim1.st, plain1[static_cast<std::size_t>(i)], 1);
-          if (sim2) add_scaled(sim2->st, plain2[static_cast<std::size_t>(i)], 1);
+        extra1 = d1 * rest;
+        extra2 = d2 * rest;
+        for (std::size_t i = 0; i < static_cast<std::size_t>(c0 % cp.block); ++i) {
+          extra1 = extra1 + plain1[i];
+          extra2 = extra2 + plain2[i];
         }
         walked = c0;
         out.closed_form = true;
         break;
       }
-      prev1 = sim1.state();
-      if (sim2) prev2 = sim2->state();
+      prev1 = c1.state();
+      if (c2) prev2 = c2->state();
       pd1 = d1;
       pd2 = d2;
       prev_set = std::move(cur_set);
       have_prev = true;
     }
   }
-  if (walked < c0) {
-    detail::walk_nest(pass, {}, walked, c0, touch, ws);
-  }
-  out.l1 = sim1.st;
-  if (sim2) out.l2 = sim2->st;
+  if (walked < c0) detail::walk_nest(pass, {}, walked, c0, touch, ws);
+  out.l1 = c1.stats() + extra1;
+  out.l2 = stats2() + extra2;
   return out;
 }
 
@@ -992,8 +779,8 @@ CacheReport analyze_plan(const plan::Node& tree, const AnalyzeOptions& opts) {
     StagePrediction sp;
     sp.predict = predict_pass(pass, opts.l1, l2p);
     sp.pass = std::move(pass);
-    add_scaled(rep.total_l1, sp.predict.l1, 1);
-    add_scaled(rep.total_l2, sp.predict.l2, 1);
+    rep.total_l1 = rep.total_l1 + sp.predict.l1;
+    rep.total_l2 = rep.total_l2 + sp.predict.l2;
     rep.bytes_moved += sp.predict.bytes_moved;
     rep.stages.push_back(std::move(sp));
   }

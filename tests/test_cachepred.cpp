@@ -1,21 +1,24 @@
-// Property suite for the symbolic cache-miss analyzer (verify::cachepred).
+// Property suite for the static cache-miss analyzer (verify::cachepred).
 //
-// The central contract: predict_pass is the cache simulator's transition
-// function evaluated symbolically, so for EVERY pass the plan emitter
-// produces and EVERY tested geometry, the prediction must equal a replay of
-// the same pass through the real cache::Cache — exactly, field by field,
-// prefetchers and eviction counts included. The steady-state loop closure
-// must be invisible: closure-on and closure-off predictions are identical.
+// The central contract: predict_pass runs a pass through cache::Cache and
+// closes its outer loop in constant time once the cache reaches a shifted
+// steady state. That closure must be invisible: for EVERY pass the plan
+// emitter produces and EVERY tested geometry, with split_remiss off and on,
+// the prediction must equal a replay of the same pass through the same
+// cache — exactly, counter by counter, prefetchers and evictions included.
 //
 // On top of that: the per-stage cold sum bounding the execution-order
 // whole-plan trace (sim::trace_fft walks these same passes), footprint
-// coverage, the planner's cold-start model and split prefilter, and
-// coefficient-fit recovery on a synthetic cost database. The exact numbers
-// of the whole-plan walk and the simulated oracle are pinned in test_sim.
+// coverage, the planner's cold-start model and its exact per-primitive miss
+// table, and coefficient-fit recovery on a synthetic cost database. The
+// exact numbers of the whole-plan walk and the simulated oracle are pinned
+// in test_sim.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,14 +39,15 @@ struct NamedConfig {
   cache::CacheConfig cfg;
 };
 
-/// Geometries the predict == replay property is enforced over. Every replay
-/// cache runs with split_remiss on, because the symbolic evaluator always
-/// classifies capacity vs conflict through the FA shadow.
+/// Geometries the predict == replay property is enforced over, each with
+/// split_remiss off (the planner's cold-start path) and on (what
+/// `ddlfft analyze-plan` prints).
 std::vector<NamedConfig> property_configs() {
   std::vector<NamedConfig> out;
   auto add = [&out](const std::string& name, cache::CacheConfig cfg) {
-    cfg.split_remiss = true;
     out.push_back({name, cfg});
+    cfg.split_remiss = true;
+    out.push_back({name + "-split", cfg});
   };
   add("tiny-dm", {.size_bytes = 512, .line_bytes = 64, .associativity = 1});
   add("paper-dm", {.size_bytes = 64 * 1024, .line_bytes = 64, .associativity = 1});
@@ -73,13 +77,15 @@ std::vector<std::pair<std::string, plan::TreePtr>> property_trees(index_t n) {
   return out;
 }
 
-void expect_level_eq(const LevelPrediction& p, const cache::CacheStats& s,
+void expect_level_eq(const cache::CacheStats& p, const cache::CacheStats& s,
                      const std::string& label) {
   EXPECT_EQ(p.accesses, s.accesses) << label;
+  EXPECT_EQ(p.reads, s.reads) << label;
+  EXPECT_EQ(p.writes, s.writes) << label;
   EXPECT_EQ(p.misses, s.misses) << label;
-  EXPECT_EQ(p.compulsory, s.compulsory_misses) << label;
-  EXPECT_EQ(p.capacity, s.capacity_misses) << label;
-  EXPECT_EQ(p.conflict, s.conflict_misses) << label;
+  EXPECT_EQ(p.compulsory_misses, s.compulsory_misses) << label;
+  EXPECT_EQ(p.capacity_misses, s.capacity_misses) << label;
+  EXPECT_EQ(p.conflict_misses, s.conflict_misses) << label;
   EXPECT_EQ(p.evictions, s.evictions) << label;
   EXPECT_EQ(p.prefetch_fills, s.prefetch_fills) << label;
   EXPECT_EQ(p.prefetch_hits, s.prefetch_hits) << label;
@@ -121,16 +127,18 @@ TEST(PredictVsReplay, ExactForEveryPassShapeAndGeometry) {
 
 TEST(PredictVsReplay, ExactThroughTwoLevelHierarchy) {
   // L2 sees exactly the L1 miss stream; the prediction must track both.
-  cache::CacheConfig l1{.size_bytes = 2 * 1024, .line_bytes = 64, .associativity = 1};
-  l1.split_remiss = true;
-  cache::CacheConfig l2{.size_bytes = 64 * 1024, .line_bytes = 64, .associativity = 1};
-  l2.split_remiss = true;
-  for (const index_t n : {index_t{1024}, index_t{4096}}) {
-    for (const auto& [tree_name, tree] : property_trees(n)) {
-      for (const auto& pass : enumerate_passes(*tree)) {
-        const std::string label =
-            tree_name + "/" + std::to_string(n) + "/" + pass.node_path + ":" + pass.op;
-        expect_predict_equals_replay(pass, l1, &l2, label);
+  for (const bool split : {false, true}) {
+    const cache::CacheConfig l1{.size_bytes = 2 * 1024, .line_bytes = 64, .associativity = 1,
+                                .split_remiss = split};
+    const cache::CacheConfig l2{.size_bytes = 64 * 1024, .line_bytes = 64, .associativity = 1,
+                                .split_remiss = split};
+    for (const index_t n : {index_t{1024}, index_t{4096}}) {
+      for (const auto& [tree_name, tree] : property_trees(n)) {
+        for (const auto& pass : enumerate_passes(*tree)) {
+          const std::string label = tree_name + "/" + std::to_string(n) + "/" + pass.node_path +
+                                    ":" + pass.op + (split ? " split" : "");
+          expect_predict_equals_replay(pass, l1, &l2, label);
+        }
       }
     }
   }
@@ -153,39 +161,17 @@ TEST(PredictVsReplay, ExactOnRaggedTilings) {
 }
 
 TEST(PredictVsReplay, WhtPassesMatchToo) {
-  cache::CacheConfig cfg{.size_bytes = 1024, .line_bytes = 64, .associativity = 1};
-  cfg.split_remiss = true;
   AnalyzeOptions opts;
   opts.transform = Transform::wht;
-  for (const index_t n : {index_t{1024}, index_t{4096}}) {
-    const auto tree = wht::balanced_wht_tree(n, 64, 512);
-    for (const auto& pass : enumerate_passes(*tree, opts)) {
-      expect_predict_equals_replay(pass, cfg, nullptr,
-                                   "wht/" + std::to_string(n) + "/" + pass.op);
-    }
-  }
-}
-
-TEST(Closure, ClosedFormMatchesFullWalk) {
-  // The steady-state loop closure is an optimization, never an
-  // approximation: with it disabled the evaluator walks every iteration,
-  // and the counts must be identical.
-  const auto configs = property_configs();
-  for (const index_t n : {index_t{1024}, index_t{4096}}) {
-    for (const auto& [tree_name, tree] : property_trees(n)) {
-      for (const auto& cfg : configs) {
-        for (const auto& pass : enumerate_passes(*tree)) {
-          const PassPrediction fast = predict_pass(pass, cfg.cfg, nullptr, true);
-          const PassPrediction slow = predict_pass(pass, cfg.cfg, nullptr, false);
-          const std::string label =
-              tree_name + "/" + std::to_string(n) + "/" + cfg.name + "/" + pass.op;
-          EXPECT_EQ(fast.l1.accesses, slow.l1.accesses) << label;
-          EXPECT_EQ(fast.l1.misses, slow.l1.misses) << label;
-          EXPECT_EQ(fast.l1.compulsory, slow.l1.compulsory) << label;
-          EXPECT_EQ(fast.l1.capacity, slow.l1.capacity) << label;
-          EXPECT_EQ(fast.l1.conflict, slow.l1.conflict) << label;
-          EXPECT_EQ(fast.l1.evictions, slow.l1.evictions) << label;
-        }
+  for (const bool split : {false, true}) {
+    const cache::CacheConfig cfg{.size_bytes = 1024, .line_bytes = 64, .associativity = 1,
+                                 .split_remiss = split};
+    for (const index_t n : {index_t{1024}, index_t{4096}}) {
+      const auto tree = wht::balanced_wht_tree(n, 64, 512);
+      for (const auto& pass : enumerate_passes(*tree, opts)) {
+        expect_predict_equals_replay(
+            pass, cfg, nullptr,
+            "wht/" + std::to_string(n) + "/" + pass.op + (split ? " split" : ""));
       }
     }
   }
@@ -193,8 +179,8 @@ TEST(Closure, ClosedFormMatchesFullWalk) {
 
 TEST(Closure, FiresOnLeafSweeps) {
   // Sanity that the closure actually engages somewhere (otherwise the
-  // equality above is vacuous): a long run of identical shifted leaf sweeps
-  // over a no-prefetch cache is its home turf.
+  // predict == replay equalities do not test it): a long run of identical
+  // shifted leaf sweeps over a no-prefetch cache is its home turf.
   const auto tree = fft::rightmost_tree(4096, 32);
   const cache::CacheConfig dm{.size_bytes = 512, .line_bytes = 64, .associativity = 1};
   bool any_closed = false;
@@ -290,6 +276,134 @@ TEST(Primitives, EveryPlannerKeyKindHasPassesAndFlops) {
   }
 }
 
+/// Every key kind over sides {4, 16, 24, 64, 256} and strides {1, 8, 64},
+/// in the order of kPrimitiveMisses.
+std::vector<plan::CostKey> primitive_table_keys() {
+  const index_t sides[] = {4, 16, 24, 64, 256};
+  const index_t strides[] = {1, 8, 64};
+  std::vector<plan::CostKey> keys;
+  for (const char* kind : {"dft_leaf", "wht_leaf", "stockham"}) {
+    for (index_t a : sides) {
+      for (index_t s : strides) keys.push_back({kind, a, s, 0});
+    }
+  }
+  for (index_t a : sides) {
+    for (index_t b : sides) keys.push_back({"tw_cols", a * b, b, 0});
+  }
+  for (const char* kind : {"tw_rows", "perm"}) {
+    for (index_t a : sides) {
+      for (index_t b : sides) {
+        for (index_t s : strides) keys.push_back({kind, a * b, b, s});
+      }
+    }
+  }
+  for (const char* kind : {"reorg", "reorg_g", "wht_reorg", "fused_tws"}) {
+    for (index_t a : sides) {
+      for (index_t b : sides) {
+        for (index_t s : strides) keys.push_back({kind, a, b, s});
+      }
+    }
+  }
+  return keys;
+}
+
+// (l1_misses, l2_misses) of predict_primitive at CacheModelOptions' default
+// geometry, recorded before the evaluator ran on cache::Cache: the numbers
+// every cold-start plan is built from.
+// clang-format off
+const std::uint64_t kPrimitiveMisses[][2] = {
+    {1, 1}, {0, 0}, {1, 1}, {4, 4}, {0, 0}, {4, 4}, {6, 6}, {0, 0}, {6, 6}, {16, 16}, {2, 2},
+    {128, 16}, {64, 64}, {8, 8}, {512, 64}, {0, 0}, {0, 0}, {0, 0}, {2, 2}, {0, 0}, {2, 2}, {3, 3},
+    {0, 0}, {3, 3}, {8, 8}, {1, 1}, {8, 8}, {32, 32}, {4, 4}, {512, 32}, {6, 6}, {16, 16}, {16, 16},
+    {39, 39}, {79, 79}, {79, 79}, {54, 54}, {114, 114}, {114, 114}, {223, 223}, {383, 383},
+    {383, 383}, {1151, 1151}, {1791, 1791}, {1791, 1791}, {6, 6}, {27, 27}, {41, 41}, {111, 111},
+    {447, 447}, {24, 24}, {105, 105}, {168, 168}, {454, 454}, {2523, 1829}, {36, 36}, {166, 166},
+    {240, 240}, {684, 684}, {4586, 2758}, {96, 96}, {442, 442}, {674, 674}, {2412, 1711},
+    {16045, 7249}, {384, 384}, {2452, 1769}, {4565, 2700}, {16292, 7201}, {76244, 35735}, {6, 6},
+    {12, 12}, {12, 12}, {24, 24}, {57, 57}, {57, 57}, {36, 36}, {87, 87}, {87, 87}, {96, 96},
+    {237, 237}, {240, 237}, {384, 384}, {997, 957}, {969, 960}, {27, 27}, {57, 57}, {57, 57},
+    {105, 105}, {270, 270}, {273, 270}, {166, 166}, {421, 421}, {427, 421}, {442, 442},
+    {1174, 1147}, {1181, 1153}, {2452, 1769}, {6138, 4634}, {5051, 4752}, {41, 41}, {87, 87},
+    {87, 87}, {168, 168}, {421, 421}, {427, 421}, {240, 240}, {632, 631}, {643, 631}, {674, 674},
+    {1884, 1755}, {1817, 1772}, {4565, 2700}, {9880, 7343}, {8479, 7327}, {111, 111}, {237, 237},
+    {238, 237}, {454, 454}, {1178, 1147}, {1175, 1152}, {684, 684}, {1887, 1755}, {1809, 1770},
+    {2412, 1711}, {5849, 4672}, {5152, 4783}, {16292, 7201}, {29471, 21318}, {27313, 20108},
+    {447, 447}, {983, 957}, {966, 960}, {2523, 1829}, {5722, 4634}, {5112, 4737}, {4586, 2758},
+    {9408, 7297}, {8535, 7309}, {16045, 7249}, {28812, 21319}, {27304, 20060}, {76244, 35735},
+    {126365, 97982}, {123359, 85192}, {16, 16}, {40, 40}, {40, 40}, {64, 64}, {160, 160},
+    {160, 160}, {96, 96}, {240, 240}, {240, 240}, {256, 256}, {640, 640}, {640, 640}, {1024, 1024},
+    {2560, 2560}, {2560, 2560}, {64, 64}, {160, 160}, {160, 160}, {256, 256}, {640, 640},
+    {640, 640}, {384, 384}, {960, 960}, {960, 960}, {1024, 1024}, {2560, 2560}, {2560, 2560},
+    {7168, 4096}, {10240, 10240}, {10240, 10240}, {96, 96}, {240, 240}, {240, 240}, {384, 384},
+    {960, 960}, {960, 960}, {576, 576}, {1440, 1440}, {1440, 1440}, {1536, 1536}, {3840, 3840},
+    {3840, 3840}, {9282, 6144}, {15360, 15360}, {15360, 15360}, {256, 256}, {640, 640}, {640, 640},
+    {1024, 1024}, {2560, 2560}, {2560, 2560}, {1536, 1536}, {3840, 3840}, {3840, 3840},
+    {4096, 4096}, {10240, 10240}, {10240, 10240}, {28672, 16384}, {40960, 40960}, {40960, 40960},
+    {1024, 1024}, {2560, 2560}, {2560, 2560}, {4096, 4096}, {10240, 10240}, {10240, 10240},
+    {6144, 6144}, {15360, 15360}, {15360, 15360}, {16384, 16384}, {40960, 40960}, {40960, 40960},
+    {114688, 65792}, {163840, 163840}, {163840, 163840}, {16, 16}, {40, 40}, {40, 40}, {64, 64},
+    {160, 160}, {160, 160}, {96, 96}, {240, 240}, {240, 240}, {256, 256}, {640, 640}, {640, 640},
+    {1024, 1024}, {2560, 2560}, {2560, 2560}, {64, 64}, {160, 160}, {160, 160}, {256, 256},
+    {640, 640}, {640, 640}, {384, 384}, {960, 960}, {960, 960}, {1024, 1024}, {2560, 2560},
+    {2560, 2560}, {10240, 4096}, {10240, 10240}, {10240, 10240}, {96, 96}, {240, 240}, {240, 240},
+    {384, 384}, {960, 960}, {960, 960}, {576, 576}, {1440, 1440}, {1440, 1440}, {1536, 1536},
+    {3840, 3840}, {3840, 3840}, {12420, 6144}, {15360, 15360}, {15360, 15360}, {256, 256},
+    {640, 640}, {640, 640}, {1024, 1024}, {2560, 2560}, {2560, 2560}, {1536, 1536}, {3840, 3840},
+    {3840, 3840}, {4096, 4096}, {10240, 10240}, {10240, 10240}, {40960, 16384}, {40960, 40960},
+    {40960, 40960}, {1024, 1024}, {2560, 2560}, {2560, 2560}, {4096, 4096}, {10240, 10240},
+    {10240, 10240}, {6144, 6144}, {15360, 15360}, {15360, 15360}, {16384, 16384}, {40960, 40960},
+    {40960, 40960}, {163840, 65984}, {163840, 163840}, {163840, 163840}, {8, 8}, {20, 20}, {20, 20},
+    {32, 32}, {80, 80}, {80, 80}, {48, 48}, {120, 120}, {120, 120}, {128, 128}, {320, 320},
+    {320, 320}, {512, 512}, {1280, 1280}, {1280, 1280}, {32, 32}, {80, 80}, {80, 80}, {128, 128},
+    {320, 320}, {320, 320}, {192, 192}, {480, 480}, {480, 480}, {512, 512}, {1280, 1280},
+    {1280, 1280}, {5120, 2048}, {5120, 5120}, {5120, 5120}, {48, 48}, {120, 120}, {120, 120},
+    {192, 192}, {480, 480}, {480, 480}, {288, 288}, {720, 720}, {720, 720}, {768, 768},
+    {1920, 1920}, {1920, 1920}, {6210, 3072}, {7680, 7680}, {7680, 7680}, {128, 128}, {320, 320},
+    {320, 320}, {512, 512}, {1280, 1280}, {1280, 1280}, {768, 768}, {1920, 1920}, {1920, 1920},
+    {2048, 2048}, {5120, 5120}, {5120, 5120}, {20480, 8192}, {20480, 20480}, {20480, 20480},
+    {512, 512}, {1280, 1280}, {1280, 1280}, {2048, 2048}, {5120, 5120}, {5120, 5120}, {3072, 3072},
+    {7680, 7680}, {7680, 7680}, {8192, 8192}, {20480, 20480}, {20480, 20480}, {81920, 33024},
+    {81920, 81920}, {81920, 81920}, {8, 8}, {36, 36}, {36, 36}, {32, 32}, {144, 144}, {144, 144},
+    {48, 48}, {216, 216}, {216, 216}, {128, 128}, {576, 576}, {576, 576}, {512, 512}, {2304, 2304},
+    {2304, 2304}, {32, 32}, {144, 144}, {144, 144}, {128, 128}, {576, 576}, {576, 576}, {192, 192},
+    {864, 864}, {864, 864}, {512, 512}, {2304, 2304}, {2304, 2304}, {2372, 2048}, {9216, 9216},
+    {9216, 9216}, {48, 48}, {216, 216}, {216, 216}, {192, 192}, {864, 864}, {864, 864}, {288, 288},
+    {1296, 1296}, {1296, 1296}, {768, 768}, {3456, 3456}, {3456, 3456}, {3395, 3072},
+    {13824, 13824}, {13824, 13824}, {128, 128}, {576, 576}, {576, 576}, {512, 512}, {2304, 2304},
+    {2304, 2304}, {768, 768}, {3456, 3456}, {3456, 3456}, {2048, 2048}, {9216, 9216}, {9216, 9216},
+    {9488, 8192}, {36864, 36864}, {36864, 36864}, {512, 512}, {2304, 2304}, {2304, 2304},
+    {2048, 2048}, {9216, 9216}, {9216, 9216}, {3072, 3072}, {13824, 13824}, {13824, 13824},
+    {8192, 8192}, {36864, 36864}, {36864, 36864}, {37952, 33248}, {147456, 147456},
+    {147456, 147456}, {11, 11}, {23, 23}, {23, 23}, {44, 44}, {92, 92}, {92, 92}, {66, 66},
+    {138, 138}, {138, 138}, {176, 176}, {368, 368}, {369, 368}, {704, 704}, {1517, 1472},
+    {1482, 1472}, {44, 44}, {92, 92}, {93, 92}, {173, 173}, {365, 365}, {367, 365}, {268, 268},
+    {556, 556}, {563, 556}, {719, 714}, {1604, 1482}, {1509, 1485}, {6949, 2857}, {7279, 6164},
+    {6748, 5946}, {66, 66}, {138, 138}, {138, 138}, {268, 268}, {568, 556}, {563, 556}, {390, 390},
+    {832, 822}, {834, 823}, {1192, 1074}, {2392, 2226}, {2276, 2240}, {11050, 4300}, {11321, 9162},
+    {10896, 8953}, {176, 176}, {368, 368}, {368, 368}, {721, 714}, {1529, 1482}, {1498, 1482},
+    {1106, 1074}, {2401, 2226}, {2266, 2241}, {6837, 2751}, {6740, 5987}, {6656, 5823},
+    {32740, 13289}, {32766, 24270}, {32657, 23649}, {704, 704}, {1507, 1472}, {1478, 1477},
+    {7215, 2857}, {6739, 6075}, {6677, 5963}, {12054, 4300}, {11121, 9112}, {10856, 9028},
+    {33059, 14272}, {32848, 24284}, {32860, 23796}, {142084, 105343}, {141977, 103128},
+    {142007, 101813},
+};
+// clang-format on
+
+TEST(Primitives, PlannerMissTableIsExact) {
+  const fft::CacheModelOptions cm;
+  const auto keys = primitive_table_keys();
+  ASSERT_EQ(keys.size(), std::size(kPrimitiveMisses));
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const plan::CostKey& k = keys[i];
+    const PrimitivePrediction p = predict_primitive(k, cm.l1, cm.l2);
+    const std::string label =
+        k.kind + "(" + std::to_string(k.a) + ", " + std::to_string(k.b) + ", " +
+        std::to_string(k.c) + ")";
+    EXPECT_EQ(p.l1_misses, kPrimitiveMisses[i][0]) << label;
+    EXPECT_EQ(p.l2_misses, kPrimitiveMisses[i][1]) << label;
+  }
+}
+
 TEST(CoefficientFit, RecoversPlantedConstants) {
   // Build a synthetic CostDb whose seconds are EXACTLY the model with known
   // coefficients; the regression must recover them.
@@ -358,78 +472,17 @@ TEST(ColdStartPlanner, PlansFromTheModelWithoutMeasuring) {
   EXPECT_LE(dp_cost, rm_cost * (1.0 + 1e-9));
 }
 
-TEST(ColdStartPlanner, PrefilterPrunesAndCountsSkippedSplits) {
-  plan::CostDb db;
-  fft::PlannerOptions opts;
-  opts.cost_db = &db;
-  opts.cache_model.cold_start_model = true;
-  opts.cache_model.prefilter = true;
-  opts.cache_model.prune_factor = 1.01;  // aggressive: force visible pruning
-  fft::FftPlanner planner(opts);
-
-  const auto tree = planner.plan(4096, fft::Strategy::ddl_dp);
-  ASSERT_NE(tree, nullptr);
-  EXPECT_GT(planner.cost_stats().pruned_splits, 0u);
-  EXPECT_TRUE(verify::verify_plan(*tree, {Transform::fft}).ok());
-}
-
-TEST(ColdStartPlanner, PrefilterNeverChangesTunedPlans) {
-  // Once the CostDb holds entries for the node-level keys, the prefilter
-  // must be a no-op: splits with known costs are never pruned, so planning
-  // for a tuned size is bit-identical with and without it.
-  plan::CostDb db;
-  fft::PlannerOptions base;
-  base.cost_db = &db;
-  base.cache_model.cold_start_model = true;
-  fft::FftPlanner reference(base);
-  const auto expected = reference.plan(2048, fft::Strategy::ddl_dp);
-
-  // db now contains every key the DP touched (model values memoized as
-  // probe entries) — a "tuned" database from the prefilter's viewpoint.
-  fft::PlannerOptions filtered = base;
-  filtered.cache_model.prefilter = true;
-  filtered.cache_model.prune_factor = 1.0;  // maximally aggressive
-  fft::FftPlanner planner(filtered);
-  const auto tree = planner.plan(2048, fft::Strategy::ddl_dp);
-
-  EXPECT_EQ(plan::to_string(*tree), plan::to_string(*expected));
-  EXPECT_EQ(planner.cost_stats().pruned_splits, 0u);
-}
-
-TEST(ColdStartPlanner, PrefilterReducesColdStartWork) {
-  fft::PlannerOptions opts;
-  opts.cache_model.cold_start_model = true;
-  plan::CostDb plain_db;
-  opts.cost_db = &plain_db;
-  fft::FftPlanner plain(opts);
-  plain.plan(4096, fft::Strategy::ddl_dp);
-  const auto plain_calls = plain.cost_stats().model_fallbacks;
-
-  plan::CostDb filtered_db;
-  opts.cost_db = &filtered_db;
-  opts.cache_model.prefilter = true;
-  // Aggressive factor: the DP memo shares subtree states across splits, so
-  // only pruning that removes whole subtree families reduces lookups.
-  opts.cache_model.prune_factor = 1.01;
-  fft::FftPlanner filtered(opts);
-  filtered.plan(4096, fft::Strategy::ddl_dp);
-  EXPECT_GT(filtered.cost_stats().pruned_splits, 0u);
-  EXPECT_LT(filtered.cost_stats().model_fallbacks, plain_calls);
-}
-
 TEST(ColdStartPlanner, ExplicitOracleOutranksTheModel) {
   // cost_oracle set: the model must stay out of the way entirely.
   plan::CostDb db;
   fft::PlannerOptions opts;
   opts.cost_db = &db;
   opts.cache_model.cold_start_model = true;
-  opts.cache_model.prefilter = true;
   opts.cost_oracle = sim::simulated_cost_oracle({});
   fft::FftPlanner planner(opts);
   const auto tree = planner.plan(1024, fft::Strategy::ddl_dp);
   ASSERT_NE(tree, nullptr);
   EXPECT_EQ(planner.cost_stats().model_fallbacks, 0u);
-  EXPECT_EQ(planner.cost_stats().pruned_splits, 0u);
 }
 
 }  // namespace

@@ -155,19 +155,6 @@ TEST(Cache, ResetClearsEverything) {
   EXPECT_EQ(cache.stats().compulsory_misses, 1u);
 }
 
-TEST(Hierarchy, L2SeesOnlyL1Misses) {
-  Hierarchy h({.size_bytes = 128, .line_bytes = 64, .associativity = 1},
-              {.size_bytes = 1024, .line_bytes = 64, .associativity = 1});
-  // Working set of 4 lines: too big for 2-line L1, fits 16-line L2.
-  for (int rep = 0; rep < 4; ++rep) {
-    for (std::uint64_t i = 0; i < 4; ++i) h.access(i * 64);
-  }
-  EXPECT_EQ(h.l1().stats().accesses, 16u);
-  EXPECT_GT(h.l1().stats().misses, 4u);
-  EXPECT_EQ(h.l2().stats().accesses, h.l1().stats().misses);
-  EXPECT_EQ(h.l2().stats().misses, 4u);  // L2 holds the set: compulsory only
-}
-
 // ---------------------------------------------------------------------------
 // Prefetcher models
 // ---------------------------------------------------------------------------

@@ -95,6 +95,25 @@ TEST(TraceWht, AccessCounts) {
   EXPECT_EQ(ddl_cache.stats().accesses, 8u * 16 + 8u * 16 + 4u * 64);
 }
 
+TEST(ReplayPass, L2SeesOnlyL1Misses) {
+  // A working set of 4 lines walked 4 times: too big for the 2-line L1,
+  // fits the 16-line L2.
+  verify::cachepred::StreamRef line;
+  line.loop_step = {0};
+  line.elem_step = 64;
+  line.width = 16;
+  verify::cachepred::AccessPass pass;
+  pass.loops = {4};
+  pass.sweeps = {{4, {line}}};
+  cache::Cache l1({.size_bytes = 128, .line_bytes = 64, .associativity = 1});
+  cache::Cache l2({.size_bytes = 1024, .line_bytes = 64, .associativity = 1});
+  replay_pass(pass, l1, &l2);
+  EXPECT_EQ(l1.stats().accesses, 16u);
+  EXPECT_GT(l1.stats().misses, 4u);
+  EXPECT_EQ(l2.stats().accesses, l1.stats().misses);
+  EXPECT_EQ(l2.stats().misses, 4u);  // L2 holds the set: compulsory only
+}
+
 // ---------------------------------------------------------------------------
 // The paper's worked example (Fig. 6): 256-point DFT as 16 x 16 with a
 // 64-point direct-mapped cache, 4-point lines (C = 64, B = 4, 16-byte

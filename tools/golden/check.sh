@@ -54,6 +54,8 @@ golden analyze_ct16_16_16.txt \
   "$ddlfft" analyze-plan --tree "ct(16,ct(16,16))" --cache 32K:8,512K:1
 golden analyze_ctddlf16_16_16.txt \
   "$ddlfft" analyze-plan --tree "ctddlf(16,ct(16,16))" --cache 32K:8,512K:1
+golden analyze_ct32_32_16_8K2.txt \
+  "$ddlfft" analyze-plan --tree "ct(32,ct(32,16))" --cache 8K:2
 for bench in fig3_stride_cases fig9_missrate fig10_linesize table2_accesses ablation_prefetch; do
   golden "$bench.txt" "$build/bench/$bench"
 done

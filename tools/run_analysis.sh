@@ -41,7 +41,7 @@
 #                                  a corrupt costdb is rejected fail-closed
 #   6b. goldens                    tools/golden/check.sh (also the ctest
 #                                  `test_goldens`): `ddlfft analyze-plan` on
-#                                  two canonical trees, the paper-figure
+#                                  three canonical trees, the paper-figure
 #                                  simulator benches, `ddlfft simulate` and
 #                                  `ddlfft plan --oracle`, diffed against
 #                                  checked-in goldens. All are deterministic
