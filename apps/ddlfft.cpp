@@ -164,7 +164,7 @@ plan::TreePtr plan_tree(const cli::Args& args, Stores& stores, const std::string
   if (transform == "wht") {
     wht::PlannerOptions opts;
     if (oracle) {
-      opts.cost_oracle = sim::simulated_cost_oracle({});
+      opts.cost_oracle = sim::simulated_cost_oracle();
     } else {
       opts.cost_db = &stores.cost_db;
       opts.wisdom = &stores.wisdom;
@@ -175,7 +175,7 @@ plan::TreePtr plan_tree(const cli::Args& args, Stores& stores, const std::string
   }
   fft::PlannerOptions opts;
   if (oracle) {
-    opts.cost_oracle = sim::simulated_cost_oracle({});
+    opts.cost_oracle = sim::simulated_cost_oracle();
   } else {
     opts.cost_db = &stores.cost_db;
     opts.wisdom = &stores.wisdom;
@@ -381,8 +381,15 @@ int cmd_simulate(const cli::Args& args) {
   cfg.line_bytes = static_cast<std::size_t>(args.size_or("line", 64));
   cfg.associativity = static_cast<int>(args.int_or("assoc", 1));
   const std::string pf = args.get_or("prefetch", "none");
-  if (pf == "next") cfg.prefetch = cache::Prefetch::next_line;
-  if (pf == "stream") cfg.prefetch = cache::Prefetch::stream;
+  if (pf == "next") {
+    cfg.prefetch = cache::Prefetch::next_line;
+  } else if (pf == "stream") {
+    cfg.prefetch = cache::Prefetch::stream;
+  } else if (pf != "none") {
+    std::cerr << "simulate: unknown --prefetch '" << pf
+              << "'\nusage: ddlfft simulate ... [--prefetch none|next|stream]\n";
+    return 2;
+  }
   cfg.split_remiss = args.has("split-remiss");
 
   cache::Cache sim_cache(cfg);
@@ -486,14 +493,14 @@ int cmd_analyze(const cli::Args& args) {
   std::cout << "\n\n";
 
   TableWriter stages({"node", "op", "accesses", "l1_miss", "l1_comp", "l1_cap", "l1_conf",
-                      "l2_miss", "bytes", "closed"});
+                      "l2_miss", "bytes"});
   for (const auto& st : report.stages) {
     const auto& p = st.predict;
     stages.add_row({st.pass.node_path, st.pass.op, std::to_string(p.l1.accesses),
                     std::to_string(p.l1.misses), std::to_string(p.l1.compulsory_misses),
                     std::to_string(p.l1.capacity_misses), std::to_string(p.l1.conflict_misses),
                     two_level ? std::to_string(p.l2.misses) : "-",
-                    std::to_string(p.bytes_moved), p.closed_form ? "yes" : "no"});
+                    std::to_string(p.bytes_moved)});
   }
   stages.print(std::cout, "predicted per-stage misses (each stage cold)");
 

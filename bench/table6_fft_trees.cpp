@@ -45,7 +45,7 @@ int main() {
   std::cout << "\n";
   {
     fft::PlannerOptions opts;
-    opts.cost_oracle = sim::simulated_cost_oracle({});  // 512KB DM, penalty 30
+    opts.cost_oracle = sim::simulated_cost_oracle();  // 512KB DM, penalty 30
     fft::FftPlanner planner(opts);
     TableWriter table({"n", "fft_sdl_tree", "fft_ddl_tree", "ddl_nodes", "same"});
     for (int k = 10; k <= 20; k += 2) {

@@ -45,10 +45,7 @@ struct CacheConfig {
   int associativity = 1;                ///< 1 = direct-mapped; 0 = fully assoc.
   Replacement replacement = Replacement::lru;
   Prefetch prefetch = Prefetch::none;
-  int stream_table = 16;   ///< tracked streams for Prefetch::stream
-  int region_lines = 1024;  ///< stream tracking granularity (64 KB at 64 B lines);
-                            ///< real prefetchers do not follow arbitrarily
-                            ///< large strides, so streams are keyed by region
+  int stream_table = 16;  ///< tracked streams for Prefetch::stream
 
   /// Split the lumped re-miss class into true capacity vs. conflict misses
   /// using a fully-associative LRU shadow of the same total line count: a
@@ -96,14 +93,10 @@ struct CacheStats {
   [[nodiscard]] double miss_rate() const {
     return accesses == 0 ? 0.0 : static_cast<double>(misses) / static_cast<double>(accesses);
   }
-  bool operator==(const CacheStats&) const = default;
 };
 
-/// Counter-by-counter sum, difference and multiple: totals over passes, and
-/// the steady-state extrapolation of verify::cachepred::predict_pass.
+/// Counter-by-counter sum: totals over passes.
 CacheStats operator+(const CacheStats& a, const CacheStats& b);
-CacheStats operator-(const CacheStats& a, const CacheStats& b);
-CacheStats operator*(const CacheStats& a, std::uint64_t k);
 
 /// One cache level.
 class Cache {
@@ -115,15 +108,10 @@ class Cache {
   /// and writes miss identically.
   bool access(std::uint64_t addr, bool is_write = false);
 
-  /// Touch every line in [addr, addr+bytes).
-  void access_range(std::uint64_t addr, std::size_t bytes, bool is_write = false);
-
-  /// Invalidate all lines and zero the statistics.
-  void reset();
-
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
+ private:
   struct Line {
     std::uint64_t tag = 0;
     std::uint64_t stamp = 0;  ///< LRU: last-use tick; FIFO: fill tick
@@ -131,19 +119,8 @@ class Cache {
     bool prefetched = false;  ///< filled by the prefetcher, not yet demanded
   };
 
-  /// Replacement state: every way of every set, and the fully-associative
-  /// shadow's lines from LRU to MRU (empty unless split_remiss).
-  struct State {
-    std::vector<Line> lines;  ///< sets x ways, row-major by set
-    std::vector<std::uint64_t> shadow;
-  };
-
-  /// A copy of the replacement state, for comparing two points of a run.
-  [[nodiscard]] State state() const;
-
- private:
   struct Stream {
-    std::uint64_t region = 0;  ///< line_addr / region_lines this stream lives in
+    std::uint64_t region = 0;  ///< line_addr / kRegionLines this stream lives in
     std::uint64_t last_line = 0;
     std::int64_t delta = 0;
     int confidence = 0;

@@ -27,7 +27,6 @@
 #include "ddl/common/types.hpp"
 #include "ddl/plan/costdb.hpp"
 #include "ddl/plan/tree.hpp"
-#include "ddl/verify/cachepred.hpp"
 
 namespace ddl::sim {
 
@@ -46,25 +45,12 @@ void trace_fft(const plan::Node& tree, cache::Cache& cache, TraceOptions opts = 
 void trace_wht(const plan::Node& tree, cache::Cache& cache,
                TraceOptions opts = {.elem_bytes = sizeof(real_t)});
 
-/// Replay one access pass (verify::cachepred) through caches, every
-/// iteration walked — the ground truth the property suite holds
-/// predict_pass's loop closure exactly equal to. When `l2` is given it sees
-/// exactly the accesses that miss in `l1`, as an L2 behind it would. The
-/// Sec. III-B / Fig. 3 leaf experiment is replay_pass(leaf_sweep_pass(...)).
-void replay_pass(const verify::cachepred::AccessPass& pass, cache::Cache& l1,
-                 cache::Cache* l2 = nullptr);
-
-/// Configuration of the simulated cost oracle.
-struct OracleOptions {
-  cache::CacheConfig cache;    ///< modelled hardware (paper default: 512 KB DM)
-  double miss_penalty = 30.0;  ///< cost of a miss, in hit-cost units
-  index_t sweep_count = 64;    ///< successive sub-transforms per leaf probe
-};
-
 /// A cost function for the planners (PlannerOptions::cost_oracle) that
-/// *simulates* each DP primitive on the modelled cache instead of timing it
-/// on the host: the key's cachepred::primitive_passes replayed through one
-/// cache, cost = accesses + miss_penalty * misses per primitive invocation.
+/// *simulates* each DP primitive on the paper's cache (512 KB
+/// direct-mapped, 64 B lines) instead of timing it on the host: the key's
+/// cachepred::primitive_passes replayed through one cache::Cache
+/// (cachepred::replay_pass), cost = accesses + 30 * misses per primitive
+/// invocation.
 /// Handles every key kind both planners emit ("dft_leaf", "tw_rows",
 /// "tw_cols", "perm", "reorg", "reorg_g", "fused_tws", "stockham",
 /// "wht_leaf", "wht_reorg"); throws std::invalid_argument on any other.
@@ -74,6 +60,6 @@ struct OracleOptions {
 /// the DDL search inserts ctddl splits that the host wall clock would not
 /// justify. Units are abstract (hit-cost = 1); only relative costs matter
 /// to the DP.
-std::function<double(const plan::CostKey&)> simulated_cost_oracle(OracleOptions opts = {});
+std::function<double(const plan::CostKey&)> simulated_cost_oracle();
 
 }  // namespace ddl::sim

@@ -33,31 +33,26 @@
 /// to a plan, `primitive_passes` to one DP cost key. A plan's pass list is
 /// stage-major: each stage is one pass whose leading loops run every
 /// instance of it. Two walks consume that one list:
-///   - `predict_pass` / `analyze_plan` predict each stage on its own, cache
-///     cold at stage entry (the per-stage model);
+///   - `analyze_plan` and `predict_primitive` predict each stage on its own,
+///     cache cold at stage entry (the per-stage model);
 ///   - `walk_execution_order` replays the list in the executors' order,
 ///     each sub-transform instance running all of its stages before the
 ///     next one starts. sim::trace_fft and sim::trace_wht feed that walk
 ///     into a cache::Cache: the paper's whole-plan cache study.
 ///
-/// ## One simulator, plus a loop closure
+/// ## One simulator, one replay
 ///
-/// `predict_pass` walks the pass through one cache::Cache per level, built
-/// from the configs it is given (split_remiss and prefetchers included).
-/// When an outer loop's remaining iterations provably shift the access
-/// stream by a constant byte offset and the caches reach a shift-invariant
-/// fixed point (read through Cache::state()), the evaluator *closes the
-/// loop in constant time*: the shift is an automorphism of the cache's
-/// transition function, so extrapolating the remaining iterations is exact,
-/// and typical instance loops cost O(cache) instead of O(iterations). Where
-/// the preconditions fail it walks the whole nest, which is exactly
-/// sim::replay_pass.
+/// `replay_pass` walks one pass through cache::Cache levels, every
+/// iteration in exact nest order: the per-stage predictions, the simulated
+/// oracle and the Fig. 3 bench all call it. A per-stage prediction
+/// (`analyze_plan`, the planner's `predict_primitive`) replays each pass
+/// through one cold cache::Cache per level, built from the configs it is
+/// given (split_remiss and prefetchers included).
 ///
-/// Exactness is enforced, never assumed: the property suite
-/// (tests/test_cachepred.cpp) requires predict == sim::replay_pass for every
-/// tested geometry, with split_remiss off and on. docs/CACHEMODEL.md states
-/// the tolerance policy for the remaining comparison (per-stage-cold sums
-/// vs. a warm whole-plan trace).
+/// The property suite (tests/test_cachepred.cpp) pins the per-stage counts
+/// of every tested geometry in an exact table, with split_remiss off and
+/// on. docs/CACHEMODEL.md states the tolerance policy for the remaining
+/// comparison (per-stage-cold sums vs. a warm whole-plan trace).
 
 #include <algorithm>
 #include <cstdint>
@@ -117,20 +112,19 @@ struct AccessPass {
   [[nodiscard]] std::uint64_t bytes_touched() const;
 };
 
-/// Prediction for one pass over a (possibly two-level) geometry.
+/// Prediction for one pass over a (possibly two-level) geometry: its
+/// replay through one cold cache per level.
 struct PassPrediction {
   cache::CacheStats l1;
   cache::CacheStats l2;             ///< all-zero when no L2 was configured
   std::uint64_t bytes_moved = 0;    ///< bytes_touched() of the pass
-  bool closed_form = false;         ///< steady-state closure fired
 };
 
-/// Predict one pass: run it through a cold cache::Cache per level (`l2` may
-/// be null; it sees the L1 misses), closing the outer loop in constant time
-/// once the caches reach a shifted steady state. The counts equal
-/// sim::replay_pass on the same configs, split_remiss included.
-PassPrediction predict_pass(const AccessPass& pass, const cache::CacheConfig& l1,
-                            const cache::CacheConfig* l2 = nullptr);
+/// Replay one pass through caches, every iteration walked in exact nest
+/// order. When `l2` is given it sees exactly the accesses that miss in `l1`,
+/// as an L2 behind it would. The Sec. III-B / Fig. 3 leaf experiment is
+/// replay_pass(leaf_sweep_pass(...)).
+void replay_pass(const AccessPass& pass, cache::Cache& l1, cache::Cache* l2 = nullptr);
 
 namespace detail {
 
@@ -227,24 +221,23 @@ struct WalkScratch {
 };
 
 /// Walk one pass with its leading outer indices pinned to `pinned` and the
-/// next outer loop restricted to iterations [lo, hi) (a single iteration
+/// next outer loop restricted to iterations [0, hi) (a single iteration
 /// when every loop is pinned), calling touch(byte_address, is_write) for
 /// each access in exact nest order.
 template <class Touch>
-void walk_nest(const AccessPass& pass, std::span<const index_t> pinned, index_t lo, index_t hi,
-               Touch& touch, WalkScratch& ws) {
+void walk_nest(const AccessPass& pass, std::span<const index_t> pinned, index_t hi, Touch& touch,
+               WalkScratch& ws) {
   using i64 = std::int64_t;
   const std::size_t nl = pass.loops.size();
   const std::size_t np = pinned.size();
   for (std::size_t l = np + 1; l < nl; ++l) {
     if (pass.loops[l] <= 0) return;
   }
-  if (hi <= lo) return;
+  if (hi <= 0) return;
   std::vector<index_t>& idx = ws.idx;
   idx.assign(pinned.begin(), pinned.end());
   idx.resize(nl, 0);
-  if (np < nl) idx[np] = lo;
-  std::uint64_t iters = np < nl ? static_cast<std::uint64_t>(hi - lo) : 1;
+  std::uint64_t iters = np < nl ? static_cast<std::uint64_t>(hi) : 1;
   for (std::size_t l = np + 1; l < nl; ++l) iters *= static_cast<std::uint64_t>(pass.loops[l]);
 
   // Every ref at the first outer indices, and its carry for each free loop.
@@ -335,13 +328,13 @@ void for_each_visit(const std::vector<AccessPass>& passes, const PassVisit& visi
 }  // namespace detail
 
 /// Issue every demand access of the pass, in exact nest order, to
-/// touch(byte_address, is_write). sim::replay_pass drives a cache::Cache
-/// through this, the full walk predict_pass's loop closure is held to.
+/// touch(byte_address, is_write). replay_pass drives cache::Cache levels
+/// through this.
 template <class Touch>
 void walk_pass(const AccessPass& pass, Touch&& touch) {
   detail::check_arity(pass);
   detail::WalkScratch ws;
-  detail::walk_nest(pass, {}, 0, pass.loops.empty() ? 1 : pass.loops[0], touch, ws);
+  detail::walk_nest(pass, {}, pass.loops.empty() ? 1 : pass.loops[0], touch, ws);
 }
 
 /// Issue every demand access of a plan, given as its enumerate_passes()
@@ -353,7 +346,7 @@ void walk_execution_order(const std::vector<AccessPass>& passes, Touch&& touch) 
   detail::WalkScratch ws;
   detail::for_each_visit(passes, [&](const AccessPass& pass, std::span<const index_t> pinned,
                                      index_t hi) {
-    detail::walk_nest(pass, pinned, 0, hi, touch, ws);
+    detail::walk_nest(pass, pinned, hi, touch, ws);
   });
 }
 
@@ -421,13 +414,17 @@ CacheReport analyze_plan(const plan::Node& tree, const AnalyzeOptions& opts = {}
 // Planning oracle: per-CostKey predictions and the fitted time model
 // ---------------------------------------------------------------------------
 
+/// Successive sub-transforms a leaf primitive models, like the wall-clock
+/// probe; leaf predictions and simulated costs are averaged over them.
+inline constexpr index_t kLeafSweep = 64;
+
 /// Build the pass list for one DP primitive with the plan's stage builders,
 /// at a packed layout: data at 0 spanning n*stride elements, the scratch
 /// right after it, the twiddle table right after the scratch the primitive
-/// uses. Leaf kinds model `sweep_count` successive sub-transforms like the
-/// wall-clock probe. Unknown kinds yield no passes. sim::simulated_cost_oracle
-/// replays these passes through one simulated cache per key.
-std::vector<AccessPass> primitive_passes(const plan::CostKey& key, index_t sweep_count = 64);
+/// uses. Leaf kinds model kLeafSweep successive sub-transforms. Unknown
+/// kinds yield no passes. sim::simulated_cost_oracle replays these passes
+/// through one simulated cache per key.
+std::vector<AccessPass> primitive_passes(const plan::CostKey& key);
 
 /// The Sec. III-B leaf experiment (Fig. 3) as one pass: `count` successive
 /// size-n leaves at `stride`, each starting one element after the previous.
@@ -456,7 +453,7 @@ CostCoefficients fit_coefficients(const plan::CostDb& db, const cache::CacheConf
                                   const cache::CacheConfig& l2);
 
 /// Predicted misses of one primitive at both levels (sum over its passes,
-/// divided by the leaf sweep count where the probe protocol averages).
+/// divided by kLeafSweep where the probe protocol averages).
 struct PrimitivePrediction {
   std::uint64_t l1_misses = 0;
   std::uint64_t l2_misses = 0;

@@ -1,11 +1,18 @@
 #include "ddl/cachesim/cache.hpp"
 
-#include <functional>
-
 #include "ddl/common/check.hpp"
 #include "ddl/common/mathutil.hpp"
 
 namespace ddl::cache {
+
+namespace {
+
+/// Stream tracking granularity of Prefetch::stream, in lines (64 KB at 64 B
+/// lines): real prefetchers do not follow arbitrarily large strides, so
+/// streams are keyed by region.
+constexpr std::uint64_t kRegionLines = 1024;
+
+}  // namespace
 
 void CacheConfig::validate() const {
   // Every check runs before the arithmetic it guards: a zero or non-pow2
@@ -145,7 +152,7 @@ void Cache::train_streams(std::uint64_t line_addr) {
   // page-ish region and never follow arbitrarily large strides): interleaved
   // streams in different regions train independently; a walk whose stride
   // exceeds the region size defeats the prefetcher, as on real hardware.
-  const std::uint64_t region = line_addr / static_cast<std::uint64_t>(config_.region_lines);
+  const std::uint64_t region = line_addr / kRegionLines;
   for (auto& s : streams_) {
     if (!s.valid || s.region != region) continue;
     const std::int64_t delta =
@@ -175,61 +182,17 @@ void Cache::train_streams(std::uint64_t line_addr) {
   s.confidence = 0;
 }
 
-void Cache::access_range(std::uint64_t addr, std::size_t bytes, bool is_write) {
-  if (bytes == 0) return;
-  const std::uint64_t first = addr / config_.line_bytes;
-  const std::uint64_t last = (addr + bytes - 1) / config_.line_bytes;
-  for (std::uint64_t line = first; line <= last; ++line) {
-    access(line * config_.line_bytes, is_write);
-  }
-}
-
-void Cache::reset() {
-  lines_.assign(sets_ * ways_, Line{});
-  if (config_.prefetch == Prefetch::stream) {
-    streams_.assign(static_cast<std::size_t>(config_.stream_table), Stream{});
-  }
-  stream_rr_ = 0;
-  tick_ = 0;
-  stats_ = CacheStats{};
-  touched_.clear();
-  shadow_lru_.clear();
-  shadow_pos_.clear();
-}
-
-Cache::State Cache::state() const {
-  return State{lines_, std::vector<std::uint64_t>(shadow_lru_.begin(), shadow_lru_.end())};
-}
-
-namespace {
-
-/// op(a.f, b.f) for every counter f.
-template <class Op>
-CacheStats counterwise(const CacheStats& a, const CacheStats& b, Op op) {
-  return {.accesses = op(a.accesses, b.accesses),
-          .reads = op(a.reads, b.reads),
-          .writes = op(a.writes, b.writes),
-          .misses = op(a.misses, b.misses),
-          .compulsory_misses = op(a.compulsory_misses, b.compulsory_misses),
-          .conflict_misses = op(a.conflict_misses, b.conflict_misses),
-          .capacity_misses = op(a.capacity_misses, b.capacity_misses),
-          .evictions = op(a.evictions, b.evictions),
-          .prefetch_fills = op(a.prefetch_fills, b.prefetch_fills),
-          .prefetch_hits = op(a.prefetch_hits, b.prefetch_hits)};
-}
-
-}  // namespace
-
 CacheStats operator+(const CacheStats& a, const CacheStats& b) {
-  return counterwise(a, b, std::plus<>());
-}
-
-CacheStats operator-(const CacheStats& a, const CacheStats& b) {
-  return counterwise(a, b, std::minus<>());
-}
-
-CacheStats operator*(const CacheStats& a, std::uint64_t k) {
-  return counterwise(a, a, [k](std::uint64_t x, std::uint64_t) { return x * k; });
+  return {.accesses = a.accesses + b.accesses,
+          .reads = a.reads + b.reads,
+          .writes = a.writes + b.writes,
+          .misses = a.misses + b.misses,
+          .compulsory_misses = a.compulsory_misses + b.compulsory_misses,
+          .conflict_misses = a.conflict_misses + b.conflict_misses,
+          .capacity_misses = a.capacity_misses + b.capacity_misses,
+          .evictions = a.evictions + b.evictions,
+          .prefetch_fills = a.prefetch_fills + b.prefetch_fills,
+          .prefetch_hits = a.prefetch_hits + b.prefetch_hits};
 }
 
 }  // namespace ddl::cache

@@ -3,12 +3,16 @@
 #include <stdexcept>
 
 #include "ddl/common/check.hpp"
+#include "ddl/verify/cachepred.hpp"
 
 namespace ddl::sim {
 
 namespace cp = verify::cachepred;
 
 namespace {
+
+/// The simulated oracle's cost of a miss, in hit-cost units.
+constexpr double kMissPenalty = 30.0;
 
 /// Walk the plan's passes in execution order into `cache`, in the address
 /// space enumerate_passes lays out with regions aligned to the cache line.
@@ -36,33 +40,23 @@ void trace_wht(const plan::Node& tree, cache::Cache& cache, TraceOptions opts) {
   trace(tree, verify::Transform::wht, opts, cache);
 }
 
-void replay_pass(const cp::AccessPass& pass, cache::Cache& l1, cache::Cache* l2) {
-  // Two walks rather than one with a per-access test for l2: replay is the
-  // hot loop of the simulated oracle.
-  if (l2 == nullptr) {
-    cp::walk_pass(pass, [&l1](std::uint64_t addr, bool is_write) { l1.access(addr, is_write); });
-    return;
-  }
-  cp::walk_pass(pass, [&l1, l2](std::uint64_t addr, bool is_write) {
-    if (!l1.access(addr, is_write)) l2->access(addr, is_write);
-  });
-}
-
-std::function<double(const plan::CostKey&)> simulated_cost_oracle(OracleOptions opts) {
-  return [opts](const plan::CostKey& key) -> double {
-    const auto passes = cp::primitive_passes(key, opts.sweep_count);
+std::function<double(const plan::CostKey&)> simulated_cost_oracle() {
+  return [](const plan::CostKey& key) -> double {
+    const auto passes = cp::primitive_passes(key);
     if (passes.empty()) {
       throw std::invalid_argument("simulated_cost_oracle: unknown primitive kind '" + key.kind +
                                   "'");
     }
-    cache::Cache cache(opts.cache);  // warm across the key's passes
-    for (const auto& pass : passes) replay_pass(pass, cache);
+    // CacheConfig's default is the paper's 512 KB direct-mapped cache; it
+    // stays warm across the key's passes.
+    cache::Cache cache(cache::CacheConfig{});
+    for (const auto& pass : passes) cp::replay_pass(pass, cache);
     const auto& s = cache.stats();
     const double cost =
-        static_cast<double>(s.accesses) + opts.miss_penalty * static_cast<double>(s.misses);
+        static_cast<double>(s.accesses) + kMissPenalty * static_cast<double>(s.misses);
     // Leaf probes average over their sweep of sub-transforms.
     const bool leaf = key.kind == "dft_leaf" || key.kind == "wht_leaf";
-    return leaf ? cost / static_cast<double>(opts.sweep_count) : cost;
+    return leaf ? cost / static_cast<double>(cp::kLeafSweep) : cost;
   };
 }
 

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <functional>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <string_view>
-#include <unordered_set>
 
 #include "ddl/common/check.hpp"
 #include "ddl/layout/reorg.hpp"
@@ -504,266 +501,34 @@ std::vector<AccessPass> enumerate_passes(const plan::Node& tree, const AnalyzeOp
 }
 
 // ---------------------------------------------------------------------------
-// Per-stage prediction: the pass through cache::Cache, plus an exact
-// steady-state loop closure.
+// Per-stage prediction: the pass replayed through cache::Cache
 // ---------------------------------------------------------------------------
+
+void replay_pass(const AccessPass& pass, cache::Cache& l1, cache::Cache* l2) {
+  // Two walks rather than one with a per-access test for l2: replay is the
+  // hot loop of every prediction and of the simulated oracle.
+  if (l2 == nullptr) {
+    walk_pass(pass, [&l1](u64 addr, bool is_write) { l1.access(addr, is_write); });
+    return;
+  }
+  walk_pass(pass, [&l1, l2](u64 addr, bool is_write) {
+    if (!l1.access(addr, is_write)) l2->access(addr, is_write);
+  });
+}
 
 namespace {
 
-/// Byte interval [lo, hi] a ref can reach; loop0 restricted to iteration 0
-/// when `first_iter_only` (the per-iteration window of a shifted ref).
-void ref_range(const StreamRef& r, const std::vector<index_t>& loops, index_t count,
-               bool first_iter_only, u64& lo, u64& hi) {
-  i64 mn = static_cast<i64>(r.base);
-  i64 mx = mn;
-  for (std::size_t l = 0; l < loops.size(); ++l) {
-    const i64 extent = (l == 0 && first_iter_only) ? 0 : static_cast<i64>(loops[l]) - 1;
-    const i64 span = r.loop_step[l] * std::max<i64>(extent, 0);
-    (span < 0 ? mn : mx) += span;
-  }
-  const i64 espan = r.elem_step * std::max<i64>(static_cast<i64>(count) - 1, 0);
-  (espan < 0 ? mn : mx) += espan;
-  if (r.mod_n != 0) mx += static_cast<i64>((r.mod_n - 1) * r.mod_scale);
-  lo = static_cast<u64>(mn);
-  hi = static_cast<u64>(mx) + (r.width > 0 ? r.width - 1 : 0);
-}
-
-/// Closure eligibility and parameters (see docs/CACHEMODEL.md for the
-/// soundness argument). S == 0 means every loop0 iteration replays the same
-/// addresses (scratch-side passes under an instance loop); S > 0 means the
-/// whole access stream shifts by S bytes per iteration.
-struct ClosurePlan {
-  bool ok = false;
-  i64 shift = 0;      ///< S, bytes per loop0 iteration
-  index_t block = 1;  ///< B, plain iterations per super-iteration
-  index_t warmup = 1; ///< super-iterations before the stream leaves its start
-  bool has_fixed = false;
-  u64 fixed_lo = 0, fixed_hi = 0;  ///< line-expanded fixed-ref interval
-  u64 shift_lo = 0, shift_hi = 0;  ///< line-expanded shifted interval (whole pass)
-};
-
-ClosurePlan closure_plan(const AccessPass& pass, const cache::CacheConfig& l1,
-                         const cache::CacheConfig* l2) {
-  ClosurePlan cp;
-  if (pass.loops.empty()) return cp;
-  const index_t c0 = pass.loops[0];
-  if (c0 < 8) return cp;
-  if (l1.prefetch != cache::Prefetch::none) return cp;
-  if (l2 != nullptr && l2->prefetch != cache::Prefetch::none) return cp;
-
-  const u64 coarse = std::max<u64>(l1.line_bytes, l2 != nullptr ? l2->line_bytes : 0);
-  i64 shift = -1;  // -1: not yet seen a shifted ref
-  bool has_fixed = false;
-  u64 f_lo = ~u64{0}, f_hi = 0, s_lo = ~u64{0}, s_hi = 0, w_lo = ~u64{0}, w_hi = 0;
-  for (const Sweep& sw : pass.sweeps) {
-    for (const StreamRef& r : sw.refs) {
-      if (r.mod_n != 0 && (r.mul_loop[0] != 0 || r.off_loop[0] != 0)) return cp;
-      if (r.skip_first_outer && pass.loops.size() == 1) return cp;
-      const i64 s0 = r.loop_step[0];
-      u64 lo = 0, hi = 0;
-      if (s0 == 0) {
-        has_fixed = true;
-        ref_range(r, pass.loops, sw.count, false, lo, hi);
-        f_lo = std::min(f_lo, lo);
-        f_hi = std::max(f_hi, hi);
-      } else if (s0 > 0 && (shift == -1 || shift == s0)) {
-        shift = s0;
-        ref_range(r, pass.loops, sw.count, false, lo, hi);
-        s_lo = std::min(s_lo, lo);
-        s_hi = std::max(s_hi, hi);
-        ref_range(r, pass.loops, sw.count, true, lo, hi);
-        w_lo = std::min(w_lo, lo);
-        w_hi = std::max(w_hi, hi);
-      } else {
-        return cp;  // negative or inconsistent shifts
-      }
-    }
-  }
-  if (shift == -1) shift = 0;  // loop0-invariant pass
-
-  if (has_fixed && shift > 0) {
-    // Fixed and shifted line sets must be disjoint at the coarser line size
-    // so the state map (shifted lines translate, fixed lines stay) is
-    // well-defined.
-    const u64 fa = f_lo / coarse, fb = f_hi / coarse;
-    const u64 sa = s_lo / coarse, sb2 = s_hi / coarse;
-    if (fa <= sb2 && sa <= fb) return cp;
-  }
-
-  index_t block = 1;
-  if (shift > 0) {
-    const u64 l = std::lcm(static_cast<u64>(shift), coarse);
-    if (l / static_cast<u64>(shift) > 64) return cp;
-    block = static_cast<index_t>(l / static_cast<u64>(shift));
-    const u64 step_bytes = static_cast<u64>(shift) * static_cast<u64>(block);
-    // Mixed passes additionally need a set-preserving shift at every level.
-    if (has_fixed) {
-      const u64 dl1 = step_bytes / l1.line_bytes;
-      if (dl1 % l1.sets() != 0) return cp;
-      if (l2 != nullptr) {
-        const u64 dl2 = step_bytes / l2->line_bytes;
-        if (dl2 % l2->sets() != 0) return cp;
-      }
-    }
-    cp.warmup = static_cast<index_t>((w_hi - w_lo) / step_bytes) + 2;
-  } else {
-    cp.warmup = 2;
-  }
-  const index_t total_super = c0 / block;
-  if (total_super < cp.warmup + 3) return cp;  // nothing to amortize
-
-  cp.ok = true;
-  cp.shift = shift;
-  cp.block = block;
-  cp.has_fixed = has_fixed;
-  cp.fixed_lo = f_lo;
-  cp.fixed_hi = f_hi;
-  cp.shift_lo = s_lo;
-  cp.shift_hi = s_hi;
-  return cp;
-}
-
-/// Does `cur` equal `prev` translated by `step_bytes` (shifted-region lines
-/// move, fixed-region lines stay)? Compares per-set stamp-ordered residency
-/// and the shadow's LRU order — the full observable state of a level.
-bool state_shifted(const cache::Cache::State& prev, const cache::Cache::State& cur,
-                   const cache::CacheConfig& cfg, const ClosurePlan& cp, u64 step_bytes) {
-  const std::size_t sets = cfg.sets();
-  const std::size_t ways = cfg.ways();
-  const u64 lb = cfg.line_bytes;
-  const u64 dl = step_bytes / lb;
-  auto map_line = [&](u64 la) {
-    if (dl == 0) return la;
-    if (cp.has_fixed) {
-      const u64 byte0 = la * lb;
-      if (byte0 >= cp.fixed_lo && byte0 <= cp.fixed_hi) return la;
-    }
-    return la + dl;
-  };
-  auto canon = [&](const std::vector<cache::Cache::Line>& lines, bool mapped) {
-    std::vector<std::vector<std::pair<u64, u64>>> per_set(sets);
-    for (std::size_t s = 0; s < sets; ++s) {
-      for (std::size_t w = 0; w < ways; ++w) {
-        const cache::Cache::Line& ln = lines[s * ways + w];
-        if (!ln.valid) continue;
-        const u64 la = mapped ? map_line(ln.tag * sets + s) : ln.tag * sets + s;
-        per_set[static_cast<std::size_t>(la) & (sets - 1)].push_back({ln.stamp, la});
-      }
-    }
-    for (auto& v : per_set) std::sort(v.begin(), v.end());
-    return per_set;
-  };
-  const auto a = canon(prev.lines, true);
-  const auto b = canon(cur.lines, false);
-  for (std::size_t s = 0; s < sets; ++s) {
-    if (a[s].size() != b[s].size()) return false;
-    for (std::size_t i = 0; i < a[s].size(); ++i) {
-      if (a[s][i].second != b[s][i].second) return false;
-    }
-  }
-  if (prev.shadow.size() != cur.shadow.size()) return false;
-  for (std::size_t i = 0; i < prev.shadow.size(); ++i) {
-    if (map_line(prev.shadow[i]) != cur.shadow[i]) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
+/// The pass replayed through one cold cache per level (`l2` may be null).
 PassPrediction predict_pass(const AccessPass& pass, const cache::CacheConfig& l1,
                             const cache::CacheConfig* l2) {
-  detail::check_arity(pass);
   cache::Cache c1(l1);
   std::optional<cache::Cache> c2;
   if (l2 != nullptr) c2.emplace(*l2);
-  const auto touch = [&](u64 addr, bool w) {
-    if (!c1.access(addr, w) && c2) c2->access(addr, w);
-  };
-  const auto stats2 = [&c2] { return c2 ? c2->stats() : cache::CacheStats{}; };
-
-  PassPrediction out;
-  out.bytes_moved = pass.bytes_touched();
-  const index_t c0 = pass.loops.empty() ? 1 : pass.loops[0];
-  if (c0 <= 0) return out;
-
-  const ClosurePlan cp = closure_plan(pass, l1, l2);
-  detail::WalkScratch ws;
-  index_t walked = 0;                     // plain loop0 iterations consumed
-  cache::CacheStats extra1, extra2;       // counts of the iterations closed off
-  if (cp.ok) {
-    const u64 gran = std::min<u64>(l1.line_bytes, l2 != nullptr ? l2->line_bytes : l1.line_bytes);
-    const u64 step_bytes = static_cast<u64>(cp.shift) * static_cast<u64>(cp.block);
-    const u64 dg = step_bytes / gran;
-    const index_t total_super = c0 / cp.block;
-    cache::Cache::State prev1, prev2;
-    cache::CacheStats pd1, pd2;  // previous super-iteration's deltas
-    std::vector<u64> prev_set;
-    std::vector<cache::CacheStats> plain1, plain2;  // per-plain deltas, last super
-    bool have_prev = false;
-    for (index_t t = 0; t < total_super; ++t) {
-      std::unordered_set<u64> touched_now;
-      const cache::CacheStats b1 = c1.stats();
-      const cache::CacheStats b2 = stats2();
-      plain1.clear();
-      plain2.clear();
-      auto record = [&](u64 addr, bool w) {
-        touched_now.insert(addr / gran);
-        touch(addr, w);
-      };
-      for (index_t i = 0; i < cp.block; ++i) {
-        const cache::CacheStats p1 = c1.stats();
-        const cache::CacheStats p2 = stats2();
-        detail::walk_nest(pass, {}, t * cp.block + i, t * cp.block + i + 1, record, ws);
-        plain1.push_back(c1.stats() - p1);
-        plain2.push_back(stats2() - p2);
-      }
-      walked = (t + 1) * cp.block;
-      const cache::CacheStats d1 = c1.stats() - b1;
-      const cache::CacheStats d2 = stats2() - b2;
-      std::vector<u64> cur_set(touched_now.begin(), touched_now.end());
-      std::sort(cur_set.begin(), cur_set.end());
-
-      bool close = have_prev && t >= cp.warmup && d1 == pd1 && d2 == pd2 &&
-                   cur_set.size() == prev_set.size();
-      if (close) {
-        for (std::size_t i = 0; i < cur_set.size() && close; ++i) {
-          const u64 mapped = (cp.has_fixed && prev_set[i] * gran >= cp.fixed_lo &&
-                              prev_set[i] * gran <= cp.fixed_hi)
-                                 ? prev_set[i]
-                                 : prev_set[i] + dg;
-          close = mapped == cur_set[i];
-        }
-      }
-      if (close) close = state_shifted(prev1, c1.state(), l1, cp, step_bytes);
-      if (close && c2) close = state_shifted(prev2, c2->state(), *l2, cp, step_bytes);
-      if (close) {
-        // Everything from here on is a translated replay: extrapolate the
-        // remaining full super-iterations, then the leftover plain
-        // iterations from the recorded per-iteration deltas.
-        const u64 rest = static_cast<u64>(total_super - 1 - t);
-        extra1 = d1 * rest;
-        extra2 = d2 * rest;
-        for (std::size_t i = 0; i < static_cast<std::size_t>(c0 % cp.block); ++i) {
-          extra1 = extra1 + plain1[i];
-          extra2 = extra2 + plain2[i];
-        }
-        walked = c0;
-        out.closed_form = true;
-        break;
-      }
-      prev1 = c1.state();
-      if (c2) prev2 = c2->state();
-      pd1 = d1;
-      pd2 = d2;
-      prev_set = std::move(cur_set);
-      have_prev = true;
-    }
-  }
-  if (walked < c0) detail::walk_nest(pass, {}, walked, c0, touch, ws);
-  out.l1 = c1.stats() + extra1;
-  out.l2 = stats2() + extra2;
-  return out;
+  replay_pass(pass, c1, c2 ? &*c2 : nullptr);
+  return {c1.stats(), c2 ? c2->stats() : cache::CacheStats{}, pass.bytes_touched()};
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Whole-plan analysis + footprint coverage cross-check
@@ -824,7 +589,7 @@ CacheReport analyze_plan(const plan::Node& tree, const AnalyzeOptions& opts) {
 // Planning oracle: per-CostKey passes, fitted time model
 // ---------------------------------------------------------------------------
 
-std::vector<AccessPass> primitive_passes(const plan::CostKey& key, index_t sweep_count) {
+std::vector<AccessPass> primitive_passes(const plan::CostKey& key) {
   const std::string& k = key.kind;
   const u64 eb = k == "wht_leaf" || k == "wht_reorg" ? sizeof(real_t) : sizeof(cplx);
   const std::string path = "primitive";
@@ -839,7 +604,7 @@ std::vector<AccessPass> primitive_passes(const plan::CostKey& key, index_t sweep
     // The probe's sweep: consecutive base offsets when strided, consecutive
     // blocks at unit stride.
     const i64 step = static_cast<i64>(key.b > 1 ? eb : static_cast<u64>(key.a) * eb);
-    return build(0, [&](Emitter& em) { em.leaf(path, {{sweep_count}, {step}}, key.a, 0, key.b); });
+    return build(0, [&](Emitter& em) { em.leaf(path, {{kLeafSweep}, {step}}, key.a, 0, key.b); });
   }
   if (k == "tw_rows") {
     return build(static_cast<u64>(key.a * key.c) * eb,
@@ -906,17 +671,16 @@ double primitive_flops(const plan::CostKey& key) {
 PrimitivePrediction predict_primitive(const plan::CostKey& key, const cache::CacheConfig& l1,
                                       const cache::CacheConfig& l2) {
   PrimitivePrediction pp;
-  const index_t sweep = 64;
   const cache::CacheConfig* l2p = l2.size_bytes > 0 ? &l2 : nullptr;
-  for (const AccessPass& pass : primitive_passes(key, sweep)) {
+  for (const AccessPass& pass : primitive_passes(key)) {
     const PassPrediction pr = predict_pass(pass, l1, l2p);
     pp.l1_misses += pr.l1.misses;
     pp.l2_misses += pr.l2.misses;
   }
   if (key.kind == "dft_leaf" || key.kind == "wht_leaf") {
-    // The probe protocol times `sweep` sub-transforms and averages.
-    pp.l1_misses /= static_cast<u64>(sweep);
-    pp.l2_misses /= static_cast<u64>(sweep);
+    // The probe protocol times kLeafSweep sub-transforms and averages.
+    pp.l1_misses /= static_cast<u64>(kLeafSweep);
+    pp.l2_misses /= static_cast<u64>(kLeafSweep);
   }
   return pp;
 }

@@ -1,11 +1,10 @@
 // Property suite for the static cache-miss analyzer (verify::cachepred).
 //
-// The central contract: predict_pass runs a pass through cache::Cache and
-// closes its outer loop in constant time once the cache reaches a shifted
-// steady state. That closure must be invisible: for EVERY pass the plan
-// emitter produces and EVERY tested geometry, with split_remiss off and on,
-// the prediction must equal a replay of the same pass through the same
-// cache — exactly, counter by counter, prefetchers and evictions included.
+// The central contract: a prediction replays each pass through a cold
+// cache::Cache per level, and its counts do not drift. An exact table pins
+// analyze_plan's per-stage counters, every counter at both levels, for
+// every plan shape the emitter produces on every tested geometry (FIFO,
+// prefetching, two-level), with split_remiss off and on.
 //
 // On top of that: the per-stage cold sum bounding the execution-order
 // whole-plan trace (sim::trace_fft walks these same passes), footprint
@@ -18,6 +17,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -39,9 +39,8 @@ struct NamedConfig {
   cache::CacheConfig cfg;
 };
 
-/// Geometries the predict == replay property is enforced over, each with
-/// split_remiss off (the planner's cold-start path) and on (what
-/// `ddlfft analyze-plan` prints).
+/// Geometries the per-stage table covers, each with split_remiss off (the
+/// planner's cold-start path) and on (what `ddlfft analyze-plan` prints).
 std::vector<NamedConfig> property_configs() {
   std::vector<NamedConfig> out;
   auto add = [&out](const std::string& name, cache::CacheConfig cfg) {
@@ -77,117 +76,247 @@ std::vector<std::pair<std::string, plan::TreePtr>> property_trees(index_t n) {
   return out;
 }
 
-void expect_level_eq(const cache::CacheStats& p, const cache::CacheStats& s,
-                     const std::string& label) {
-  EXPECT_EQ(p.accesses, s.accesses) << label;
-  EXPECT_EQ(p.reads, s.reads) << label;
-  EXPECT_EQ(p.writes, s.writes) << label;
-  EXPECT_EQ(p.misses, s.misses) << label;
-  EXPECT_EQ(p.compulsory_misses, s.compulsory_misses) << label;
-  EXPECT_EQ(p.capacity_misses, s.capacity_misses) << label;
-  EXPECT_EQ(p.conflict_misses, s.conflict_misses) << label;
-  EXPECT_EQ(p.evictions, s.evictions) << label;
-  EXPECT_EQ(p.prefetch_fills, s.prefetch_fills) << label;
-  EXPECT_EQ(p.prefetch_hits, s.prefetch_hits) << label;
-}
-
-/// The core property: symbolic prediction == trace replay, exactly.
-void expect_predict_equals_replay(const AccessPass& pass, const cache::CacheConfig& l1,
-                                  const cache::CacheConfig* l2, const std::string& label) {
-  const PassPrediction pred = predict_pass(pass, l1, l2);
-
-  cache::Cache c1(l1);
-  if (l2 != nullptr) {
-    cache::Cache c2(*l2);
-    sim::replay_pass(pass, c1, &c2);
-    expect_level_eq(pred.l2, c2.stats(), label + " [L2]");
-  } else {
-    sim::replay_pass(pass, c1, nullptr);
-  }
-  expect_level_eq(pred.l1, c1.stats(), label + " [L1]");
-  EXPECT_EQ(pred.bytes_moved, pass.bytes_touched()) << label;
-}
-
-TEST(PredictVsReplay, ExactForEveryPassShapeAndGeometry) {
+/// Visit the per-stage table's rows in the order of kStageTable: every
+/// property_trees shape at 256/1024/4096 on every property_configs geometry,
+/// the two-level pair, the ragged tilings and the WHT passes. Single-level
+/// rows have no L2.
+void for_each_stage_case(
+    const std::function<void(const std::string&, const plan::Node&, const AnalyzeOptions&)>&
+        visit) {
+  const auto single = [](const cache::CacheConfig& l1) {
+    AnalyzeOptions o;
+    o.l1 = l1;
+    o.l2.size_bytes = 0;
+    return o;
+  };
   const auto configs = property_configs();
   for (const index_t n : {index_t{256}, index_t{1024}, index_t{4096}}) {
     for (const auto& [tree_name, tree] : property_trees(n)) {
-      const auto passes = enumerate_passes(*tree);
-      ASSERT_FALSE(passes.empty()) << tree_name;
       for (const auto& cfg : configs) {
-        for (const auto& pass : passes) {
-          const std::string label = tree_name + "/" + std::to_string(n) + "/" + cfg.name +
-                                    "/" + pass.node_path + ":" + pass.op;
-          expect_predict_equals_replay(pass, cfg.cfg, nullptr, label);
-        }
+        visit(tree_name + "/" + std::to_string(n) + "/" + cfg.name, *tree, single(cfg.cfg));
       }
     }
   }
-}
-
-TEST(PredictVsReplay, ExactThroughTwoLevelHierarchy) {
-  // L2 sees exactly the L1 miss stream; the prediction must track both.
   for (const bool split : {false, true}) {
-    const cache::CacheConfig l1{.size_bytes = 2 * 1024, .line_bytes = 64, .associativity = 1,
-                                .split_remiss = split};
-    const cache::CacheConfig l2{.size_bytes = 64 * 1024, .line_bytes = 64, .associativity = 1,
-                                .split_remiss = split};
+    AnalyzeOptions o;
+    o.l1 = {.size_bytes = 2 * 1024, .line_bytes = 64, .associativity = 1, .split_remiss = split};
+    o.l2 = {.size_bytes = 64 * 1024, .line_bytes = 64, .associativity = 1, .split_remiss = split};
     for (const index_t n : {index_t{1024}, index_t{4096}}) {
       for (const auto& [tree_name, tree] : property_trees(n)) {
-        for (const auto& pass : enumerate_passes(*tree)) {
-          const std::string label = tree_name + "/" + std::to_string(n) + "/" + pass.node_path +
-                                    ":" + pass.op + (split ? " split" : "");
-          expect_predict_equals_replay(pass, l1, &l2, label);
-        }
+        visit(tree_name + "/" + std::to_string(n) + "/two-level" + (split ? "-split" : ""),
+              *tree, o);
       }
     }
   }
-}
-
-TEST(PredictVsReplay, ExactOnRaggedTilings) {
-  // Sides over 16 that 16 does not divide split a transpose into its full
-  // column blocks and the narrow last one, each tile column a sweep.
-  const auto configs = property_configs();
   for (const char* grammar : {"ctddl(24,48)", "ct(48,24)", "ctddlf(ct(3,8),40)"}) {
-    const auto tree = plan::parse_tree(grammar);
+    const plan::TreePtr tree = plan::parse_tree(grammar);
     for (const auto& cfg : configs) {
-      for (const auto& pass : enumerate_passes(*tree)) {
-        expect_predict_equals_replay(pass, cfg.cfg, nullptr,
-                                     std::string(grammar) + "/" + cfg.name + "/" +
-                                         pass.node_path + ":" + pass.op);
-      }
+      visit(std::string(grammar) + "/" + cfg.name, *tree, single(cfg.cfg));
     }
   }
-}
-
-TEST(PredictVsReplay, WhtPassesMatchToo) {
-  AnalyzeOptions opts;
-  opts.transform = Transform::wht;
   for (const bool split : {false, true}) {
-    const cache::CacheConfig cfg{.size_bytes = 1024, .line_bytes = 64, .associativity = 1,
-                                 .split_remiss = split};
+    AnalyzeOptions o = single(
+        {.size_bytes = 1024, .line_bytes = 64, .associativity = 1, .split_remiss = split});
+    o.transform = Transform::wht;
     for (const index_t n : {index_t{1024}, index_t{4096}}) {
-      const auto tree = wht::balanced_wht_tree(n, 64, 512);
-      for (const auto& pass : enumerate_passes(*tree, opts)) {
-        expect_predict_equals_replay(
-            pass, cfg, nullptr,
-            "wht/" + std::to_string(n) + "/" + pass.op + (split ? " split" : ""));
-      }
+      visit("wht/" + std::to_string(n) + (split ? "/split" : ""),
+            *wht::balanced_wht_tree(n, 64, 512), o);
     }
   }
 }
 
-TEST(Closure, FiresOnLeafSweeps) {
-  // Sanity that the closure actually engages somewhere (otherwise the
-  // predict == replay equalities do not test it): a long run of identical
-  // shifted leaf sweeps over a no-prefetch cache is its home turf.
-  const auto tree = fft::rightmost_tree(4096, 32);
-  const cache::CacheConfig dm{.size_bytes = 512, .line_bytes = 64, .associativity = 1};
-  bool any_closed = false;
-  for (const auto& pass : enumerate_passes(*tree)) {
-    any_closed = any_closed || predict_pass(pass, dm).closed_form;
+/// FNV-1a over every counter of every stage at both levels, and the
+/// stage's bytes moved, in stage order.
+std::uint64_t stage_digest(const CacheReport& rep) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const StagePrediction& sp : rep.stages) {
+    for (const cache::CacheStats* s : {&sp.predict.l1, &sp.predict.l2}) {
+      for (const std::uint64_t v :
+           {s->accesses, s->reads, s->writes, s->misses, s->compulsory_misses,
+            s->conflict_misses, s->capacity_misses, s->evictions, s->prefetch_fills,
+            s->prefetch_hits}) {
+        mix(v);
+      }
+    }
+    mix(sp.predict.bytes_moved);
   }
-  EXPECT_TRUE(any_closed);
+  return h;
+}
+
+// (total L1 misses, total L2 misses, stage_digest) of analyze_plan for each
+// for_each_stage_case row, recorded while the per-stage evaluator still
+// carried a steady-state loop closure that a property suite held equal to a
+// full replay: the cold per-stage model on FIFO, prefetching and split
+// geometries.
+// clang-format off
+const std::uint64_t kStageTable[][3] = {
+    {1682, 0, 0x02369d7d23c0c58eull}, {1682, 0, 0xf27cb30481bf9b20ull},
+    {496, 0, 0xeb5ce3e53f481e1cull}, {496, 0, 0xeb5ce3e53f481e1cull},
+    {496, 0, 0xeb5ce3e53f481e1cull}, {496, 0, 0xeb5ce3e53f481e1cull},
+    {496, 0, 0xeb5ce3e53f481e1cull}, {496, 0, 0xeb5ce3e53f481e1cull},
+    {500, 0, 0x1f39e10e441cb150ull}, {500, 0, 0x51bd0dbad3a9b096ull},
+    {252, 0, 0x7fa729e4b2c64d48ull}, {252, 0, 0x7fa729e4b2c64d48ull},
+    {377, 0, 0xb16b2e9027a8a7faull}, {377, 0, 0xb16b2e9027a8a7faull},
+    {1700, 0, 0x6e93c1203312b394ull}, {1700, 0, 0x63a949c5869e62f4ull},
+    {489, 0, 0xe979f6fd38bef152ull}, {489, 0, 0xe979f6fd38bef152ull},
+    {489, 0, 0xe979f6fd38bef152ull}, {489, 0, 0xe979f6fd38bef152ull},
+    {489, 0, 0xe979f6fd38bef152ull}, {489, 0, 0xe979f6fd38bef152ull},
+    {522, 0, 0x29cdda9a53c10aaeull}, {522, 0, 0x29cdda9a53c10aaeull},
+    {248, 0, 0xd06c97dead69d8c5ull}, {248, 0, 0xd06c97dead69d8c5ull},
+    {376, 0, 0x9b9b846cad9bd7f8ull}, {376, 0, 0x9b9b846cad9bd7f8ull},
+    {1940, 0, 0x20d1f94207c2b3faull}, {1940, 0, 0xc3ed0a2a93d322faull},
+    {745, 0, 0xda64e5d7ebd7fd8aull}, {745, 0, 0xda64e5d7ebd7fd8aull},
+    {745, 0, 0xda64e5d7ebd7fd8aull}, {745, 0, 0xda64e5d7ebd7fd8aull},
+    {745, 0, 0xda64e5d7ebd7fd8aull}, {745, 0, 0xda64e5d7ebd7fd8aull},
+    {826, 0, 0x0dd9eba81612e126ull}, {826, 0, 0x0dd9eba81612e126ull},
+    {376, 0, 0x40fdcaa2f18936a9ull}, {376, 0, 0x40fdcaa2f18936a9ull},
+    {623, 0, 0x8f7562a723a3a326ull}, {623, 0, 0x8f7562a723a3a326ull},
+    {1891, 0, 0x518ec1e94845f64dull}, {1891, 0, 0x2ee06bb335f7febdull},
+    {685, 0, 0x493fae83f1f3070full}, {685, 0, 0x493fae83f1f3070full},
+    {685, 0, 0x078cd2e1ee86ff4aull}, {685, 0, 0x078cd2e1ee86ff4aull},
+    {685, 0, 0x493fae83f1f3070full}, {685, 0, 0x493fae83f1f3070full},
+    {853, 0, 0x055fac559479ecd5ull}, {853, 0, 0x45f3e68830562401ull},
+    {346, 0, 0xb708a0c7d3031084ull}, {346, 0, 0xb708a0c7d3031084ull},
+    {563, 0, 0xe4d75ca2183327a3ull}, {563, 0, 0xe4d75ca2183327a3ull},
+    {3575, 0, 0xd7cca5587402c5f1ull}, {3575, 0, 0xd7cca5587402c5f1ull},
+    {1151, 0, 0x85f60d215ea1e47cull}, {1151, 0, 0x85f60d215ea1e47cull},
+    {1158, 0, 0x9f000a7e3b3303b4ull}, {1158, 0, 0x9f000a7e3b3303b4ull},
+    {1151, 0, 0x85f60d215ea1e47cull}, {1151, 0, 0x85f60d215ea1e47cull},
+    {2485, 0, 0x00d1c382b6504483ull}, {2485, 0, 0x00d1c382b6504483ull},
+    {591, 0, 0x492ce4edfd5894abull}, {591, 0, 0x492ce4edfd5894abull},
+    {1129, 0, 0xc468886a7709917aull}, {1129, 0, 0xc468886a7709917aull},
+    {7007, 0, 0x94934ca734115378ull}, {7007, 0, 0x3773f4ad85808845ull},
+    {1963, 0, 0xd6be2c44d89b3640ull}, {1963, 0, 0xd6be2c44d89b3640ull},
+    {4009, 0, 0xed81cf0431851668ull}, {4009, 0, 0x630f4a6a86b131d8ull},
+    {1963, 0, 0xd6be2c44d89b3640ull}, {1963, 0, 0xd6be2c44d89b3640ull},
+    {4939, 0, 0x23ae2c683f31fdebull}, {4939, 0, 0x55675fef7a4ef3f9ull},
+    {2880, 0, 0x814ff269ac2d4d48ull}, {2880, 0, 0x814ff269ac2d4d48ull},
+    {1478, 0, 0xc89843288256fdd2ull}, {1478, 0, 0xc89843288256fdd2ull},
+    {7007, 0, 0x94934ca734115378ull}, {7007, 0, 0x3773f4ad85808845ull},
+    {1963, 0, 0xd6be2c44d89b3640ull}, {1963, 0, 0xd6be2c44d89b3640ull},
+    {4009, 0, 0xed81cf0431851668ull}, {4009, 0, 0x630f4a6a86b131d8ull},
+    {1963, 0, 0xd6be2c44d89b3640ull}, {1963, 0, 0xd6be2c44d89b3640ull},
+    {4939, 0, 0x23ae2c683f31fdebull}, {4939, 0, 0x55675fef7a4ef3f9ull},
+    {2880, 0, 0x814ff269ac2d4d48ull}, {2880, 0, 0x814ff269ac2d4d48ull},
+    {1478, 0, 0xc89843288256fdd2ull}, {1478, 0, 0xc89843288256fdd2ull},
+    {7967, 0, 0xc926dc2108e48d5bull}, {7967, 0, 0xeba7a40624c87412ull},
+    {2987, 0, 0x8886ae5c33ae80e0ull}, {2987, 0, 0x8886ae5c33ae80e0ull},
+    {3385, 0, 0x84f6572625272b0bull}, {3385, 0, 0x8aebd0de761e781bull},
+    {2987, 0, 0x8886ae5c33ae80e0ull}, {2987, 0, 0x8886ae5c33ae80e0ull},
+    {5707, 0, 0x330e34c210e625e0ull}, {5707, 0, 0x25cc5d2bfac4a0a2ull},
+    {3560, 0, 0x5a4e8eb5af7a36eeull}, {3560, 0, 0x5a4e8eb5af7a36eeull},
+    {2481, 0, 0x54bac5186958aba4ull}, {2481, 0, 0x54bac5186958aba4ull},
+    {7719, 0, 0xded906e200ca7d37ull}, {7719, 0, 0xe32218f6e50dae3aull},
+    {2739, 0, 0x311c0a72c2e93ffdull}, {2739, 0, 0x311c0a72c2e93ffdull},
+    {3936, 0, 0x7b9dcf60d5743b46ull}, {3936, 0, 0x9e3a7125a6f6d557ull},
+    {2742, 0, 0xa7941d53eacb4ca5ull}, {2742, 0, 0xa7941d53eacb4ca5ull},
+    {5514, 0, 0x6527b170f244a3d8ull}, {5514, 0, 0xf9d8eb2a5fac8ce8ull},
+    {3812, 0, 0x02730267c3346504ull}, {3812, 0, 0xe6c07c7c467be0dcull},
+    {2236, 0, 0x8bdfed97f91a6d75ull}, {2236, 0, 0x8bdfed97f91a6d75ull},
+    {18399, 0, 0xd29b2be498a0e964ull}, {18399, 0, 0xd29b2be498a0e964ull},
+    {5631, 0, 0xe8757afce7f63084ull}, {5631, 0, 0xe8757afce7f63084ull},
+    {12523, 0, 0x402d6bf84d51f0a5ull}, {12523, 0, 0x402d6bf84d51f0a5ull},
+    {5631, 0, 0x7cf178f6c87b27fbull}, {5631, 0, 0x7cf178f6c87b27fbull},
+    {14039, 0, 0xcc321680e3a2f550ull}, {14039, 0, 0xcc321680e3a2f550ull},
+    {7870, 0, 0x0f7278849f7f191full}, {7870, 0, 0x0f7278849f7f191full},
+    {5550, 0, 0x7e9e66ad106a0a0dull}, {5550, 0, 0x7e9e66ad106a0a0dull},
+    {17875, 0, 0x284a3f424556194cull}, {17875, 0, 0x0236fea828ac15c2ull},
+    {2501, 0, 0x8cfef67a13ed0ebaull}, {2501, 0, 0x8cfef67a13ed0ebaull},
+    {4338, 0, 0xdc3e99aa4e106fd1ull}, {4338, 0, 0xbe07d1ed521ee111ull},
+    {2501, 0, 0x8cfef67a13ed0ebaull}, {2501, 0, 0x8cfef67a13ed0ebaull},
+    {4658, 0, 0x9a81829e37d004beull}, {4658, 0, 0xfee46da70651190eull},
+    {5089, 0, 0x14f7ec01ec3f6211ull}, {5089, 0, 0x75d494c229fd97b1ull},
+    {2242, 0, 0x5a514d61b36c2fd6ull}, {2242, 0, 0x5a514d61b36c2fd6ull},
+    {52706, 0, 0x290ebe6d2b5e051full}, {52706, 0, 0xc64b72979c6456fbull},
+    {18521, 0, 0xdfd7a18a22655ecbull}, {18521, 0, 0xdfd7a18a22655ecbull},
+    {24746, 0, 0xe7cba9e365860ba6ull}, {24746, 0, 0x803f1a3bcb3fefd0ull},
+    {20100, 0, 0x826c82c636f8fcfaull}, {20100, 0, 0x10f6012162cf6086ull},
+    {26596, 0, 0xa73522a7b6226dc7ull}, {26596, 0, 0xce1879e696763d8bull},
+    {27538, 0, 0xb286fec7f9d86900ull}, {27538, 0, 0xd9b3ceaa1f2eb499ull},
+    {3081, 0, 0x13f4d46041b8a085ull}, {3081, 0, 0x890447e1b627848dull},
+    {75411, 0, 0x5fdfb1f8060b2925ull}, {75411, 0, 0xa8944bdfaa9fd029ull},
+    {22536, 0, 0x9669a5a378285277ull}, {22536, 0, 0x9669a5a378285277ull},
+    {40101, 0, 0xd981e617e790c4b0ull}, {40101, 0, 0x69ee9dfc6a6f2ad9ull},
+    {30894, 0, 0xb8fe0c69802f64dfull}, {30894, 0, 0xdc915ced38751087ull},
+    {45567, 0, 0xda2563500bcf2775ull}, {45567, 0, 0x5c63babd6aa1547bull},
+    {39081, 0, 0x8421d5b949a35e49ull}, {39081, 0, 0x8468cafe2648cbcfull},
+    {8242, 0, 0x03974f752f51184eull}, {8242, 0, 0x278c15f0a1d2876full},
+    {80062, 0, 0x15611922490556c1ull}, {80062, 0, 0xab282bc21efa26e0ull},
+    {26949, 0, 0xddaa96498d348246ull}, {26949, 0, 0xddaa96498d348246ull},
+    {31511, 0, 0xf5e8890f9d42c2c7ull}, {31511, 0, 0x701395b2e77adb26ull},
+    {20664, 0, 0xfab23d1f513bb345ull}, {20664, 0, 0x005f4dd2d3e4b64dull},
+    {33383, 0, 0xd7e1da01d87e165eull}, {33383, 0, 0x0b024272bfca8eb4ull},
+    {20823, 0, 0x8b0c800a6ba0d658ull}, {20823, 0, 0x9525504a6934eb0aull},
+    {3419, 0, 0xddb1004c5affa6b8ull}, {3419, 0, 0xf74cce092e4d62a1ull},
+    {57021, 0, 0x4259423266545273ull}, {57021, 0, 0xf95ed933e252328full},
+    {22828, 0, 0xc8c1f6d6d292dc00ull}, {22828, 0, 0xdd3dd5c90384092full},
+    {26911, 0, 0x0c6cc2e3bfd339b5ull}, {26911, 0, 0xc0fa6f261282da10ull},
+    {25490, 0, 0x6dcea51ced2999c9ull}, {25490, 0, 0x7a91393398469789ull},
+    {30176, 0, 0x70a655f221e87f94ull}, {30176, 0, 0xfd77ea79d649bbacull},
+    {29594, 0, 0x02bbc3eb4afdd18dull}, {29594, 0, 0x0dc53206fbf1cd73ull},
+    {3803, 0, 0xc89379d6ef7a493bull}, {3803, 0, 0xd8fec68efd691defull},
+    {89983, 0, 0x030cb91544e4373aull}, {89983, 0, 0x030cb91544e4373aull},
+    {43002, 0, 0xb492820fd7374af9ull}, {43002, 0, 0xb492820fd7374af9ull},
+    {66479, 0, 0x5b4ce448242f7819ull}, {66479, 0, 0x5b4ce448242f7819ull},
+    {26623, 0, 0xd3827fec428e2f9eull}, {26623, 0, 0xd3827fec428e2f9eull},
+    {72543, 0, 0xff66606d328f0e87ull}, {72543, 0, 0xff66606d328f0e87ull},
+    {70157, 0, 0x35758f1bd661a659ull}, {70157, 0, 0x35758f1bd661a659ull},
+    {21551, 0, 0x72687d3e06069a90ull}, {21551, 0, 0xdb0c5765b9fc1cb0ull},
+    {6679, 1963, 0x537ed2eac28f78bcull}, {6679, 1963, 0x537ed2eac28f78bcull},
+    {7495, 2987, 0x4ffd56badcadef5full}, {7281, 2739, 0xa8c89dc0bb311b24ull},
+    {16887, 5631, 0x6df0220819494555ull}, {8811, 2501, 0x0f3385229bec88e4ull},
+    {41280, 18521, 0xe0cb4a090b73ec19ull}, {56893, 22536, 0xa5fb544fe57b3965ull},
+    {49195, 26949, 0x32af5500e38e5e26ull}, {53425, 22828, 0xc1691bc8d2e64382ull},
+    {83935, 43002, 0x3a40e33f03e28eb6ull}, {6679, 1963, 0x867df31e1314f768ull},
+    {6679, 1963, 0x867df31e1314f768ull}, {7495, 2987, 0xa6cb3c9ace0c1dc3ull},
+    {7281, 2739, 0xa00b28fc4d779e84ull}, {16887, 5631, 0x6df0220819494555ull},
+    {8811, 2501, 0xa16655866af72c17ull}, {41280, 18521, 0x3ee84695b372037dull},
+    {56893, 22536, 0x32b6cddbce61b44bull}, {49195, 26949, 0x125b9c1c5605b900ull},
+    {53425, 22828, 0xf7895f82aff48923ull}, {83935, 43002, 0x3a40e33f03e28eb6ull},
+    {9147, 0, 0xa59c608099a02732ull}, {9147, 0, 0xe4488c40c96a7f86ull},
+    {3382, 0, 0x400efb828b06d7d3ull}, {3382, 0, 0x400efb828b06d7d3ull},
+    {3599, 0, 0x23bf28c7a24ba933ull}, {3599, 0, 0x09118112fd5506bfull},
+    {3382, 0, 0x840846e7a75aea17ull}, {3382, 0, 0x840846e7a75aea17ull},
+    {4063, 0, 0x52f512f8ec04d526ull}, {4063, 0, 0xe73b83c054fcc378ull},
+    {1958, 0, 0x54654d00fcbee94dull}, {1958, 0, 0x748889ba84c3e3edull},
+    {2778, 0, 0xa4337607c7de9eadull}, {2778, 0, 0xa4337607c7de9eadull},
+    {7875, 0, 0x13f8a11b9a2769e8ull}, {7875, 0, 0x10949353cd807afcull},
+    {2230, 0, 0xc8b3d21b9b5a2e29ull}, {2230, 0, 0xc8b3d21b9b5a2e29ull},
+    {2470, 0, 0xecfda7d4f3677a02ull}, {2470, 0, 0x5a586f3568e64712ull},
+    {2230, 0, 0x2ebd6e16461eff16ull}, {2230, 0, 0x2ebd6e16461eff16ull},
+    {4730, 0, 0xa62899528d77a705ull}, {4730, 0, 0x31bc7e329dfe80dbull},
+    {1290, 0, 0x932a07e2348d4f9full}, {1290, 0, 0x821c6606254604efull},
+    {1641, 0, 0x40929683cfe96a18ull}, {1641, 0, 0x40929683cfe96a18ull},
+    {9451, 0, 0x1fbc824fd775740bull}, {9451, 0, 0xb65b84a61a468719ull},
+    {3487, 0, 0x6037d83f854b207full}, {3487, 0, 0x6037d83f854b207full},
+    {3814, 0, 0x5410b750514734adull}, {3814, 0, 0xdb97711cce86179eull},
+    {3487, 0, 0xd954642f850cd50cull}, {3487, 0, 0xd954642f850cd50cull},
+    {4354, 0, 0xf72cf1d9721a1b43ull}, {4354, 0, 0x7daf332e1973e686ull},
+    {2085, 0, 0x6268346030851c34ull}, {2085, 0, 0x07b88fff1f87a02cull},
+    {2857, 0, 0xd8d00c9953eca7e4ull}, {2857, 0, 0xd8d00c9953eca7e4ull},
+    {2672, 0, 0x345a11728b4cace5ull}, {10688, 0, 0x1dd3c0b5a70d3bd5ull},
+    {2672, 0, 0x95c32c68bbe03a25ull}, {10688, 0, 0x6571c6f97320f1d5ull},
+};
+// clang-format on
+
+TEST(Stages, PerGeometryTableIsExact) {
+  std::size_t i = 0;
+  for_each_stage_case([&i](const std::string& label, const plan::Node& tree,
+                           const AnalyzeOptions& opts) {
+    ASSERT_LT(i, std::size(kStageTable)) << label;
+    const CacheReport rep = analyze_plan(tree, opts);
+    EXPECT_EQ(rep.total_l1.misses, kStageTable[i][0]) << label;
+    EXPECT_EQ(rep.total_l2.misses, kStageTable[i][1]) << label;
+    EXPECT_EQ(stage_digest(rep), kStageTable[i][2]) << label;
+    ++i;
+  });
+  EXPECT_EQ(i, std::size(kStageTable));
 }
 
 TEST(WholePlan, ColdStageSumBoundsTheWarmTrace) {
@@ -478,7 +607,7 @@ TEST(ColdStartPlanner, ExplicitOracleOutranksTheModel) {
   fft::PlannerOptions opts;
   opts.cost_db = &db;
   opts.cache_model.cold_start_model = true;
-  opts.cost_oracle = sim::simulated_cost_oracle({});
+  opts.cost_oracle = sim::simulated_cost_oracle();
   fft::FftPlanner planner(opts);
   const auto tree = planner.plan(1024, fft::Strategy::ddl_dp);
   ASSERT_NE(tree, nullptr);

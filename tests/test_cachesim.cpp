@@ -137,24 +137,6 @@ TEST(Cache, StatsCoherence) {
   EXPECT_LE(s.miss_rate(), 1.0);
 }
 
-TEST(Cache, AccessRangeTouchesEveryLine) {
-  Cache cache(small_direct());
-  cache.access_range(10, 200);  // spans lines 0..3 (bytes 10..209)
-  EXPECT_EQ(cache.stats().accesses, 4u);
-  cache.access_range(0, 0);
-  EXPECT_EQ(cache.stats().accesses, 4u);
-}
-
-TEST(Cache, ResetClearsEverything) {
-  Cache cache(small_direct());
-  cache.access(0);
-  cache.access(512);
-  cache.reset();
-  EXPECT_EQ(cache.stats().accesses, 0u);
-  EXPECT_FALSE(cache.access(0));  // compulsory again after reset
-  EXPECT_EQ(cache.stats().compulsory_misses, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Prefetcher models
 // ---------------------------------------------------------------------------
@@ -221,7 +203,7 @@ TEST(Prefetch, StrideBeyondRegionDefeatsTheDetector) {
   // prefetching hardware when the stride is big enough.
   CacheConfig cfg{.size_bytes = 512 * 1024, .line_bytes = 64, .associativity = 8,
                   .replacement = Replacement::lru, .prefetch = Prefetch::stream,
-                  .stream_table = 32, .region_lines = 1024};
+                  .stream_table = 32};
   Cache cache(cfg);
   const std::uint64_t stride = 2 * 1024 * 1024;  // 2 MB >> 64 KB region
   for (std::uint64_t i = 0; i < 128; ++i) cache.access(i * stride);
@@ -329,22 +311,6 @@ TEST(SplitRemiss, StatsCoherenceThreeWay) {
   const auto& s = cache.stats();
   EXPECT_EQ(s.misses, s.compulsory_misses + s.capacity_misses + s.conflict_misses);
   EXPECT_EQ(s.hits() + s.misses, s.accesses);
-}
-
-TEST(SplitRemiss, ResetClearsTheShadow) {
-  // After reset, a previously-resident line must classify as compulsory
-  // again: a stale shadow entry would mislabel it as a capacity re-miss.
-  CacheConfig cfg = small_direct();
-  cfg.split_remiss = true;
-  Cache cache(cfg);
-  for (std::uint64_t a = 0; a < 2048; a += 64) cache.access(a);
-  cache.reset();
-  cache.access(0);
-  const auto& s = cache.stats();
-  EXPECT_EQ(s.accesses, 1u);
-  EXPECT_EQ(s.compulsory_misses, 1u);
-  EXPECT_EQ(s.capacity_misses, 0u);
-  EXPECT_EQ(s.conflict_misses, 0u);
 }
 
 }  // namespace

@@ -14,9 +14,12 @@
 #include "ddl/cachesim/cache.hpp"
 #include "ddl/plan/grammar.hpp"
 #include "ddl/sim/trace.hpp"
+#include "ddl/verify/cachepred.hpp"
 
 namespace ddl::sim {
 namespace {
+
+namespace cp = verify::cachepred;
 
 cache::Cache ideal_cache() {
   // A direct-mapped cache far larger than any trace's address space: every
@@ -98,16 +101,16 @@ TEST(TraceWht, AccessCounts) {
 TEST(ReplayPass, L2SeesOnlyL1Misses) {
   // A working set of 4 lines walked 4 times: too big for the 2-line L1,
   // fits the 16-line L2.
-  verify::cachepred::StreamRef line;
+  cp::StreamRef line;
   line.loop_step = {0};
   line.elem_step = 64;
   line.width = 16;
-  verify::cachepred::AccessPass pass;
+  cp::AccessPass pass;
   pass.loops = {4};
   pass.sweeps = {{4, {line}}};
   cache::Cache l1({.size_bytes = 128, .line_bytes = 64, .associativity = 1});
   cache::Cache l2({.size_bytes = 1024, .line_bytes = 64, .associativity = 1});
-  replay_pass(pass, l1, &l2);
+  cp::replay_pass(pass, l1, &l2);
   EXPECT_EQ(l1.stats().accesses, 16u);
   EXPECT_GT(l1.stats().misses, 4u);
   EXPECT_EQ(l2.stats().accesses, l1.stats().misses);
@@ -124,7 +127,7 @@ TEST(PaperFig6, StridedStageThrashesFourLines) {
   // A 16-point DFT at stride 16: every 4th point maps to the same line set;
   // 16 points land on only 4 distinct cache sets -> conflicts within one DFT.
   cache::Cache dm({.size_bytes = 64 * 16, .line_bytes = 4 * 16, .associativity = 1});
-  replay_pass(verify::cachepred::leaf_sweep_pass(16, 16, 1, sizeof(cplx)), dm);
+  cp::replay_pass(cp::leaf_sweep_pass(16, 16, 1, sizeof(cplx)), dm);
   // 16 points at stride 16 touch 16 distinct lines mapping onto 4 sets:
   // every access (read pass and write pass) misses.
   EXPECT_EQ(dm.stats().accesses, 32u);
@@ -136,7 +139,7 @@ TEST(PaperFig6, ReorganizedStageHasNoConflicts) {
   // After reorganization the same 16 points are contiguous: 4 lines, no
   // conflicts, and the write pass hits everything.
   cache::Cache dm({.size_bytes = 64 * 16, .line_bytes = 4 * 16, .associativity = 1});
-  replay_pass(verify::cachepred::leaf_sweep_pass(16, 1, 1, sizeof(cplx)), dm);
+  cp::replay_pass(cp::leaf_sweep_pass(16, 1, 1, sizeof(cplx)), dm);
   EXPECT_EQ(dm.stats().accesses, 32u);
   EXPECT_EQ(dm.stats().misses, 4u);  // compulsory line fetches only
   EXPECT_EQ(dm.stats().conflict_misses, 0u);
@@ -147,7 +150,7 @@ TEST(PaperFig3, SuccessiveDftsLoseReuseAtLargeStride) {
   // cannot reuse lines fetched by the first.
   cache::Cache dm({.size_bytes = 32 * 16, .line_bytes = 4 * 16, .associativity = 1});
   // Two successive 4-point DFTs at stride 32.
-  replay_pass(verify::cachepred::leaf_sweep_pass(4, 32, 2, sizeof(cplx)), dm);
+  cp::replay_pass(cp::leaf_sweep_pass(4, 32, 2, sizeof(cplx)), dm);
   // Each DFT: 4 points, all mapping to the same set (stride 32 elements =
   // cache size): misses on every access, nothing reused across DFTs.
   EXPECT_EQ(dm.stats().misses, dm.stats().accesses);
@@ -156,7 +159,7 @@ TEST(PaperFig3, SuccessiveDftsLoseReuseAtLargeStride) {
 TEST(PaperFig3, SuccessiveDftsReuseAtSmallStride) {
   // Case II: N*S <= C — the second DFT's points share lines with the first.
   cache::Cache dm({.size_bytes = 32 * 16, .line_bytes = 4 * 16, .associativity = 1});
-  replay_pass(verify::cachepred::leaf_sweep_pass(4, 4, 2, sizeof(cplx)), dm);
+  cp::replay_pass(cp::leaf_sweep_pass(4, 4, 2, sizeof(cplx)), dm);
   // First DFT misses 4 lines; second DFT (offset 1 element) hits them all.
   EXPECT_EQ(dm.stats().misses, 4u);
 }
@@ -439,7 +442,7 @@ const double kOracleCosts[] = {
 TEST(HandWalkerTable, OracleCostsAreExact) {
   const auto keys = table_keys();
   ASSERT_EQ(keys.size(), std::size(kOracleCosts));
-  const auto oracle = simulated_cost_oracle({});
+  const auto oracle = simulated_cost_oracle();
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const plan::CostKey& k = keys[i];
     EXPECT_EQ(oracle(k), kOracleCosts[i]) << k.kind << "(" << k.a << ", " << k.b << ", " << k.c

@@ -58,10 +58,10 @@ TEST(Verify, AllPlannerPlansVerifyClean) {
   // Every strategy, every n = 2^4 .. 2^20, FFT and WHT. The simulated cost
   // oracle replaces wall-clock probes so the DP is deterministic and fast.
   fft::PlannerOptions fopts;
-  fopts.cost_oracle = sim::simulated_cost_oracle({});
+  fopts.cost_oracle = sim::simulated_cost_oracle();
   fft::FftPlanner fft_planner(fopts);
   wht::PlannerOptions wopts;
-  wopts.cost_oracle = sim::simulated_cost_oracle({});
+  wopts.cost_oracle = sim::simulated_cost_oracle();
   wht::WhtPlanner wht_planner(wopts);
 
   for (const auto strategy : {fft::Strategy::rightmost, fft::Strategy::balanced,
@@ -357,7 +357,7 @@ TEST(GrammarRoundTrip, ValidTreesRoundTrip) {
     EXPECT_TRUE(plan::round_trips(*plan::parse_tree(grammar))) << grammar;
   }
   fft::PlannerOptions opts;
-  opts.cost_oracle = sim::simulated_cost_oracle({});
+  opts.cost_oracle = sim::simulated_cost_oracle();
   fft::FftPlanner planner(opts);
   for (int k = 4; k <= 16; k += 4) {
     EXPECT_TRUE(plan::round_trips(*planner.plan(index_t{1} << k, fft::Strategy::ddl_dp)));
